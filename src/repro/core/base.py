@@ -53,7 +53,7 @@ def argmin_load(
     ties = [c for c, ld in zip(candidates, loads) if ld == best]
     if tie_break == "lowest":
         return ties[0]
-    return ties[rng.randrange(len(ties))]
+    return rng.choice(ties)
 
 
 class Strategy:

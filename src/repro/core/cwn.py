@@ -90,16 +90,19 @@ class CWN(Strategy):
     # -- placement ---------------------------------------------------------------
 
     def on_goal_created(self, pe: int, goal: Goal) -> None:
-        msg = GoalMessage(pe, pe, goal, hops=0)
-        self._place(pe, msg)
+        self._place(pe, GoalMessage(pe, pe, goal))
 
     def on_goal_message(self, pe: int, msg: GoalMessage) -> None:
         self._place(pe, msg)
 
     def _place(self, pe: int, msg: GoalMessage) -> None:
+        # CWN's per-hop cost, paid by every goal at its source and again
+        # at each PE it reaches: acceptance and argmin_load's usual
+        # unique-minimum case run inline rather than as calls.
         machine = self.machine
         if msg.hops >= self.radius:
-            self._accept(pe, msg)
+            msg.goal.hops = msg.hops
+            machine.enqueue(pe, msg.goal)
             return
         nbrs = machine.neighbors(pe)
         loads = machine.known_loads_of(pe, nbrs)
@@ -108,12 +111,12 @@ class CWN(Strategy):
             own = machine.load_of(pe)
             if own < least or (self.keep_on_tie and own == least):
                 # Local minimum past the horizon: keep the goal here.
-                self._accept(pe, msg)
+                msg.goal.hops = msg.hops
+                machine.enqueue(pe, msg.goal)
                 return
-        target = argmin_load(nbrs, loads, machine.rngs[pe], self.tie_break)
+        if loads.count(least) == 1:
+            target = nbrs[loads.index(least)]
+        else:
+            target = argmin_load(nbrs, loads, machine.rngs[pe], self.tie_break)
         msg.hops += 1
         machine.send_goal(pe, target, msg)
-
-    def _accept(self, pe: int, msg: GoalMessage) -> None:
-        msg.goal.hops = msg.hops
-        self.machine.enqueue(pe, msg.goal)

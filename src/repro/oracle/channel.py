@@ -45,6 +45,7 @@ class Channel:
         "words_carried",
         "_busy_until",
         "_site",
+        "_complete_cb",
     )
 
     def __init__(
@@ -71,6 +72,8 @@ class Channel:
         #: end time of the transfer currently charged into busy_time; the
         #: accrual anchor for :meth:`effective_busy` (mirrors PE._hold_end)
         self._busy_until = 0.0
+        #: the transfer-complete action, bound once (one per transfer)
+        self._complete_cb = self._complete
 
     @property
     def backlog(self) -> int:
@@ -78,24 +81,14 @@ class Channel:
         return len(self.queue) + (1 if self.busy else 0)
 
     def send(self, msg: Message, deliver: Deliver) -> None:
-        """Submit ``msg``; ``deliver(msg)`` fires when the transfer ends."""
+        """Submit ``msg``; ``deliver(msg)`` fires when the transfer ends.
+
+        Every submission passes through here, and an idle channel starts
+        the transfer here: this is the one place a transfer starts.
+        """
         if self.busy:
             self.queue.append((msg, deliver))
-        else:
-            self._start(msg, deliver)
-
-    def broadcast(self, msg: Message, deliver_each: Callable[[int, Message], None]) -> None:
-        """One bus transfer delivering ``msg`` to every member except its src."""
-        def fan_out(m: Message, _deliver_each=deliver_each) -> None:
-            for member in self.members:
-                if member != m.src:
-                    _deliver_each(member, m)
-
-        self.send(msg, fan_out)
-
-    # -- internals -------------------------------------------------------------
-
-    def _start(self, msg: Message, deliver: Deliver) -> None:
+            return
         self.busy = True
         words = msg.size_words
         costs = self.costs
@@ -112,14 +105,33 @@ class Channel:
         seqs = engine._site_seq
         k = seqs[site] + 1
         seqs[site] = k
-        heappush(engine._heap, [end, 10, site, k, self._complete, (msg, deliver)])
+        heappush(engine._heap, [end, 10, site, k, self._complete_cb, (msg, deliver)])
 
-    def _complete(self, payload: tuple[Message, Deliver]) -> None:
-        msg, deliver = payload
+    def transmit(self, item: tuple[Message, Deliver]) -> None:
+        """:meth:`send` of a ``(msg, deliver)`` pair, an engine event's payload.
+
+        The machine schedules a goal's launch (after the co-processor's
+        route decision) as this method directly.
+        """
+        msg, deliver = item
+        self.send(msg, deliver)
+
+    def broadcast(self, msg: Message, deliver_each: Callable[[int, Message], None]) -> None:
+        """One bus transfer delivering ``msg`` to every member except its src."""
+        def fan_out(m: Message, _deliver_each=deliver_each) -> None:
+            for member in self.members:
+                if member != m.src:
+                    _deliver_each(member, m)
+
+        self.send(msg, fan_out)
+
+    # -- internals -------------------------------------------------------------
+
+    def _complete(self, item: tuple[Message, Deliver]) -> None:
+        msg, deliver = item
         self.busy = False
         if self.queue:
-            nxt_msg, nxt_deliver = self.queue.popleft()
-            self._start(nxt_msg, nxt_deliver)
+            self.send(*self.queue.popleft())
         deliver(msg)
 
     def effective_busy(self, now: float) -> float:

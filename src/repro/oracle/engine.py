@@ -206,6 +206,15 @@ class Process:
             self.alive = False
             raise SimulationError(f"unknown process command {cmd!r}")
 
+    def __call__(self, payload: Any = None) -> None:
+        """The process as an event action: resume it unless it has died.
+
+        Callable like any other action, so the event loop has one path
+        for callbacks and processes alike.
+        """
+        if self.alive:
+            self._step(payload)
+
     def _resume_with(self, payload: Any) -> None:
         if not self.alive:
             return
@@ -457,7 +466,6 @@ class Engine:
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
-        proc_cls = Process
         limit = self.max_events
         if limit is None:
             limit = float("inf")
@@ -473,12 +481,7 @@ class Engine:
                             f"event limit exceeded ({self.max_events}); "
                             "likely a runaway model"
                         )
-                    action = entry[4]
-                    if type(action) is proc_cls:
-                        if action.alive:
-                            action._step(entry[5])
-                    else:
-                        action(entry[5])
+                    entry[4](entry[5])
             else:
                 while heap and not self._stopped:
                     entry = pop(heap)
@@ -495,12 +498,7 @@ class Engine:
                             f"event limit exceeded ({self.max_events}); "
                             "likely a runaway model"
                         )
-                    action = entry[4]
-                    if type(action) is proc_cls:
-                        if action.alive:
-                            action._step(entry[5])
-                    else:
-                        action(entry[5])
+                    entry[4](entry[5])
         finally:
             self.events_executed = executed
             self._running = False
@@ -522,12 +520,7 @@ class Engine:
             raise SimulationError(
                 f"event limit exceeded ({self.max_events}); likely a runaway model"
             )
-        action = entry[4]
-        if type(action) is Process:
-            if action.alive:
-                action._step(entry[5])
-        else:
-            action(entry[5])
+        entry[4](entry[5])
         return True
 
     def peek(self) -> float | None:

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import random
 import time
+from functools import cached_property
 from heapq import heappush
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -188,7 +190,8 @@ class Machine:
 
         #: the load measure; strategies may replace it (future-commitments
         #: metric).  Receives the PE object, returns a float.
-        self.load_fn: Callable[[PE], float] = _queue_load
+        self.load_fn = _queue_load
+        self._bind_hop_path()
 
         self._finished = False
         self.completion_time: float = float("nan")
@@ -220,6 +223,67 @@ class Machine:
         self, cid: int, members: tuple[int, ...], costs: CostModel, site: int
     ) -> Channel:
         return Channel(self.engine, cid, members, costs, site=site)
+
+    # ------------------------------------------------------------------
+    # The hop path, bound once
+    # ------------------------------------------------------------------
+    # Every goal hop, response hop and load word asks the same structural
+    # questions: who are this PE's neighbors, which channel joins it to
+    # the next PE, whose beliefs does its load word update.  None of the
+    # answers changes during a run, so they become tables here, and the
+    # two services a placement calls on every hop (``neighbors`` and
+    # ``load_of``) become instance attributes bound to direct lookups,
+    # shadowing the documented methods below, which stay as the reference
+    # spelling.
+
+    def _bind_hop_path(self) -> None:
+        n = self.topology.n
+        rows = tuple(self.topology.neighbors(pe) for pe in range(n))
+        self.neighbors = rows.__getitem__  # type: ignore[method-assign]
+        #: _links[a][b]: the channel joining neighbors a and b, or None
+        #: where parallel channels join them (chosen per hop by backlog,
+        #: see _pick_channel)
+        links: list[dict[int, Channel | None]] = [{} for _ in range(n)]
+        for channel in self.channels:
+            members = channel.members
+            for a in members:
+                row = links[a]
+                for b in members:
+                    if b != a:
+                        row[b] = None if b in row else channel
+        self._links = links
+        #: _word_rows[pe]: the belief rows a load word from pe updates
+        known = self._known_loads
+        self._word_rows = [[known[nb] for nb in nbrs] for nbrs in rows]
+        self._route_decision = self.config.costs.route_decision
+        self._word_delay = self.config.load_info_delay
+        self._distance = self.topology.distance
+        self._next_hop = self.topology.next_hop
+        self._on_goal_message = self.strategy.on_goal_message
+        self._deliver_goal = self._goal_arrived
+        self._deliver_response = self._response_arrived
+        self._deliver_load_word = self._apply_load_word
+        #: infinite default column for known_loads_of's map over a row
+        self._unknown = repeat(0.0)
+
+    @property
+    def load_fn(self) -> Callable[[PE], float]:
+        """The load measure: receives a PE, returns a float."""
+        return self._load_fn
+
+    @load_fn.setter
+    def load_fn(self, fn: Callable[[PE], float]) -> None:
+        # Rebinds load_of, which placements call on every hop.  While the
+        # measure is the queue length, _queues lets load_changed (run on
+        # every queue push and pop) read it inline.
+        self._load_fn = fn
+        pes = self.pes
+        if fn is _queue_load:
+            self._queues = queues = [pe.queue for pe in pes]
+            self.load_of = lambda pe: float(len(queues[pe]))  # type: ignore[method-assign]
+        else:
+            self._queues = None
+            self.load_of = lambda pe: fn(pes[pe])  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Run control
@@ -384,10 +448,12 @@ class Machine:
             # Local response: no channel traffic, no latency.
             self.pes[src].deliver_response(parent_task, child_index, value)
         else:
-            self.stats.responses_routed += 1
-            self.stats.response_hops += self.topology.distance(src, parent_pe)
-            msg = ResponseMessage(src, -1, parent_pe, parent_task, child_index, value)
-            self._forward_response(src, msg)
+            stats = self.stats
+            stats.responses_routed += 1
+            stats.response_hops += self._distance(src, parent_pe)
+            # A new response stands at its source: route it from there.
+            msg = ResponseMessage(src, src, parent_pe, parent_task, child_index, value)
+            self._response_arrived(msg)
 
     def pe_went_idle(self, pe: int) -> None:
         """The executor on ``pe`` ran out of work (strategy hook)."""
@@ -399,17 +465,25 @@ class Machine:
     # ------------------------------------------------------------------
 
     def neighbors(self, pe: int) -> tuple[int, ...]:
-        """Immediate neighbors of ``pe`` in the interconnection."""
+        """Immediate neighbors of ``pe`` in the interconnection.
+
+        Each instance serves this from its neighbor table (see
+        ``_bind_hop_path``); this body is the reference spelling.
+        """
         return self.topology.neighbors(pe)
 
     def load_of(self, pe: int) -> float:
-        """True current load of ``pe`` (a PE may always read its own)."""
+        """True current load of ``pe`` (a PE may always read its own).
+
+        Each instance serves this through a lookup bound by the
+        ``load_fn`` setter; this body is the reference spelling.
+        """
         return self.load_fn(self.pes[pe])
 
     def known_load(self, observer: int, subject: int) -> float:
         """What ``observer`` believes about ``subject``'s load."""
         if self._instant_info:
-            return self.load_fn(self.pes[subject])
+            return self.load_of(subject)
         return self._known_loads[observer].get(subject, 0.0)
 
     def known_loads_of(self, observer: int, subjects: "Sequence[int]") -> list[float]:
@@ -420,11 +494,8 @@ class Machine:
         per neighbor.
         """
         if self._instant_info:
-            load_fn = self.load_fn
-            pes = self.pes
-            return [load_fn(pes[s]) for s in subjects]
-        get = self._known_loads[observer].get
-        return [get(s, 0.0) for s in subjects]
+            return list(map(self.load_of, subjects))
+        return list(map(self._known_loads[observer].get, subjects, self._unknown))
 
     def enqueue(self, pe: int, goal: Goal) -> None:
         """Accept ``goal`` into ``pe``'s work queue."""
@@ -440,17 +511,20 @@ class Machine:
         if self._piggyback:
             msg.load_word = self.load_of(src)
         self.stats.goal_messages_sent += 1
-        channel = self._pick_channel(src, dst)
-        decision = self.config.costs.route_decision
+        channel = self._links[src].get(dst) or self._pick_channel(src, dst)
+        decision = self._route_decision
         if decision > 0:
-            self.engine.after(decision, self._launch_goal, (channel, msg), site=1 + src)
+            # Inlined Engine.after: once the route decision is made (the
+            # co-processor latency paid) the launch event starts the hop.
+            engine = self.engine
+            site = 1 + src
+            seqs = engine._site_seq
+            k = seqs[site] + 1
+            seqs[site] = k
+            item = (msg, self._deliver_goal)
+            heappush(engine._heap, [engine.now + decision, 10, site, k, channel.transmit, item])
         else:
-            channel.send(msg, self._goal_arrived)
-
-    def _launch_goal(self, payload: "tuple[Channel, GoalMessage]") -> None:
-        """Route decision made (co-processor latency paid): start the hop."""
-        channel, msg = payload
-        channel.send(msg, self._goal_arrived)
+            channel.send(msg, self._deliver_goal)
 
     def post_to_neighbors(self, src: int, kind: str, value: float) -> None:
         """Broadcast a one-word strategy datum (e.g. GM proximity)."""
@@ -460,9 +534,12 @@ class Machine:
         """Send a one-word strategy datum to a single neighbor."""
         self._transport_word(src, dst, kind, value)
 
-    @property
+    @cached_property
     def diameter(self) -> int:
-        """Interconnection diameter (GM clamps proximities to this + 1)."""
+        """Interconnection diameter (GM clamps proximities to this + 1).
+
+        Cached on the instance: gradient cycles read it on every wakeup.
+        """
         return self.topology.diameter
 
     # ------------------------------------------------------------------
@@ -481,7 +558,8 @@ class Machine:
             hook(pe)
         if not self._posting:
             return
-        value = self.load_fn(self.pes[pe])
+        queues = self._queues
+        value = float(len(queues[pe])) if queues is not None else self.load_of(pe)
         if value == self._last_posted[pe]:
             return
         self._last_posted[pe] = value
@@ -496,23 +574,15 @@ class Machine:
             seqs[site] = k
             heappush(
                 engine._heap,
-                [
-                    engine.now + self.config.load_info_delay,
-                    10,
-                    site,
-                    k,
-                    self._apply_load_word,
-                    (pe, value),
-                ],
+                [engine.now + self._word_delay, 10, site, k, self._deliver_load_word, (pe, value)],
             )
         else:  # "channel"
             self._channel_broadcast(pe, LoadUpdate(pe, -1, value))
 
     def _apply_load_word(self, payload: tuple[int, float]) -> None:
         pe, value = payload
-        known = self._known_loads
-        for nb in self.topology.neighbors(pe):
-            known[nb][pe] = value
+        for row in self._word_rows[pe]:
+            row[pe] = value
 
     def _broadcast_loads(self) -> None:
         """One periodic tick posting every changed PE load (``"periodic"``)."""
@@ -592,28 +662,29 @@ class Machine:
         if msg.load_word is not None:
             self._absorb_piggyback(msg.dst, msg.src, msg.load_word)
             msg.load_word = None
-        self.strategy.on_goal_message(msg.dst, msg)
+        self._on_goal_message(msg.dst, msg)
 
     def _absorb_piggyback(self, observer: int, subject: int, load: float) -> None:
         self.stats.piggybacked_words += 1
         self._known_loads[observer][subject] = load
 
-    def _forward_response(self, cur: int, msg: ResponseMessage) -> None:
-        nxt = self.topology.next_hop(cur, msg.final_dst)
+    def _response_arrived(self, msg: ResponseMessage) -> None:
+        """``msg`` stands at ``msg.dst``: deliver it there or send it a hop on."""
+        if msg.load_word is not None:
+            self._absorb_piggyback(msg.dst, msg.src, msg.load_word)
+            msg.load_word = None
+        cur = msg.dst
+        final = msg.final_dst
+        if cur == final:
+            self.pes[cur].deliver_response(msg.task_id, msg.child_index, msg.value)
+            return
+        nxt = self._next_hop(cur, final)
         msg.src, msg.dst = cur, nxt
         if self._piggyback:
             msg.load_word = self.load_of(cur)
         self.stats.response_messages_sent += 1
-        self._pick_channel(cur, nxt).send(msg, self._response_arrived)
-
-    def _response_arrived(self, msg: ResponseMessage) -> None:
-        if msg.load_word is not None:
-            self._absorb_piggyback(msg.dst, msg.src, msg.load_word)
-            msg.load_word = None
-        if msg.dst == msg.final_dst:
-            self.pes[msg.final_dst].deliver_response(msg.task_id, msg.child_index, msg.value)
-        else:
-            self._forward_response(msg.dst, msg)
+        channel = self._links[cur].get(nxt) or self._pick_channel(cur, nxt)
+        channel.send(msg, self._deliver_response)
 
     # ------------------------------------------------------------------
     # Sampling

@@ -75,7 +75,11 @@ class GoalMessage(Message):
         target: int = -1,
         size_words: int = 4,
     ) -> None:
-        super().__init__(src, dst, size_words)
+        # Base fields assigned here rather than through super().__init__:
+        # one goal message per goal, one response per remote result.
+        self.src = src
+        self.dst = dst
+        self.size_words = size_words
         self.goal = goal
         self.hops = hops
         self.origin = src if origin is None else origin
@@ -108,7 +112,9 @@ class ResponseMessage(Message):
         value: Any,
         size_words: int = 2,
     ) -> None:
-        super().__init__(src, dst, size_words)
+        self.src = src
+        self.dst = dst
+        self.size_words = size_words
         self.final_dst = final_dst
         self.task_id = task_id
         self.child_index = child_index

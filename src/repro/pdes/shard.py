@@ -38,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any
 
 from ..oracle.channel import Channel
-from ..oracle.engine import Process, SimulationError
+from ..oracle.engine import SimulationError
 from ..oracle.machine import Machine
 from ..oracle.pe import PE
 from ..oracle.stats import StatsCollector
@@ -143,20 +143,21 @@ class ShardChannel(Channel):
         super().__init__(engine, cid, members, costs, site)
         self._machine = machine
 
-    def _start(self, msg, deliver) -> None:
-        m = self._machine
-        m._undo.append(
-            (
-                m._cur_key,
-                "chan",
-                self.cid,
-                self.busy_time,
-                self.messages_carried,
-                self.words_carried,
-                self._busy_until,
+    def send(self, msg, deliver) -> None:
+        if not self.busy:  # a transfer starts: log the accounting it charges
+            m = self._machine
+            m._undo.append(
+                (
+                    m._cur_key,
+                    "chan",
+                    self.cid,
+                    self.busy_time,
+                    self.messages_carried,
+                    self.words_carried,
+                    self._busy_until,
+                )
             )
-        )
-        super()._start(msg, deliver)
+        super().send(msg, deliver)
 
 
 class BoundaryChannel(Channel):
@@ -304,7 +305,7 @@ class ShardMachine(Machine):
             hook(pe)
         if not self._posting:
             return
-        value = self.load_fn(self.pes[pe])
+        value = self.load_of(pe)
         if value == self._last_posted[pe]:
             return
         self._last_posted[pe] = value
@@ -519,12 +520,7 @@ class ShardWorker:
                             f"event limit exceeded ({m.config.max_events}); "
                             "likely a runaway model"
                         )
-                action = entry[4]
-                if type(action) is Process:  # pragma: no cover - kernel is rejected
-                    if action.alive:
-                        action._step(entry[5])
-                else:
-                    action(entry[5])
+                entry[4](entry[5])
         except Exception:
             # The wedge protocol: report the error with the key it hit;
             # the torn event's undo entries are already logged, so a

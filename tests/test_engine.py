@@ -234,6 +234,25 @@ class TestProcesses:
         engine.run()
         assert not p.alive
 
+    def test_process_is_an_ordinary_action(self):
+        """The event loop calls a process like any callback; a dead one is inert."""
+        engine = Engine()
+        steps = []
+
+        def proc():
+            steps.append("first")
+            yield passivate()
+            steps.append("second")
+
+        p = engine.process(proc())
+        engine.run()
+        assert steps == ["first"]
+        p("ignored payload")  # what the loop does with a resumption entry
+        assert steps == ["first", "second"]
+        assert not p.alive
+        p(None)  # a stale entry for a dead process does nothing
+        assert steps == ["first", "second"]
+
     def test_negative_hold_raises(self):
         engine = Engine()
 
