@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core import CWN
+from repro.core import CWN, GradientModel
 from repro.oracle.config import SimConfig
 from repro.oracle.engine import Engine, hold, use_process_kernel
 from repro.oracle.machine import Machine
@@ -57,24 +57,25 @@ def test_engine_process_throughput(benchmark):
 
 
 def test_tick_scheduler_throughput(benchmark):
-    """Recurring-tick rate: 100 ticks x 1k periods on one recycled entry
-    each — the pattern of samplers, load broadcasters, and GM wakeups."""
+    """Recurring-tick rate: 100 payload ticks x 1k periods on one recycled
+    entry each — the pattern of GM wakeups and diffusion cycles, which
+    share one bound method and pass each tick its PE."""
 
     def run_ticks():
         engine = Engine()
-        fired = [0]
+        fired = [0] * 100
 
-        def body():
-            fired[0] += 1
+        def body(pe):
+            fired[pe] += 1
 
         for i in range(100):
-            engine.tick(1.0, body, offset=0.001 * i)
+            engine.tick(1.0, body, offset=0.001 * i, payload=i)
         engine.schedule(999.9, lambda _: engine.stop())
         engine.run()
-        return fired[0]
+        return fired
 
     fired = benchmark(run_ticks)
-    assert fired == 100_000
+    assert fired == [1_000] * 100
 
 
 def test_end_to_end_simulation_throughput(benchmark):
@@ -85,6 +86,17 @@ def test_end_to_end_simulation_throughput(benchmark):
             Grid(8, 8), Fibonacci(13), CWN(radius=5, horizon=1), SimConfig(seed=1)
         )
         return machine.run()
+
+    res = benchmark(run_sim)
+    assert res.result_value == 233
+
+
+def test_end_to_end_gm_throughput(benchmark):
+    """The same run under GM: engine ticks and gradient cycles instead of
+    CWN's placements and channels."""
+
+    def run_sim():
+        return Machine(Grid(8, 8), Fibonacci(13), GradientModel(), SimConfig(seed=1)).run()
 
     res = benchmark(run_sim)
     assert res.result_value == 233
@@ -139,6 +151,17 @@ def test_end_to_end_floor():
         return Machine(
             Grid(8, 8), Fibonacci(13), CWN(radius=5, horizon=1), SimConfig(seed=1)
         ).run()
+
+    assert _events_per_second(run, lambda r: r.events_executed) > 25_000
+
+
+def test_end_to_end_gm_floor():
+    """fib(13)/Grid(8,8)/GM must stay >25k events/s end-to-end: a
+    GM-only slowdown (ticks, gradient cycles, load words) fails here
+    even when the CWN floor holds."""
+
+    def run():
+        return Machine(Grid(8, 8), Fibonacci(13), GradientModel(), SimConfig(seed=1)).run()
 
     assert _events_per_second(run, lambda r: r.events_executed) > 25_000
 

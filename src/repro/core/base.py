@@ -57,7 +57,21 @@ def argmin_load(
 
 
 class Strategy:
-    """Base class; subclasses override the event hooks they care about."""
+    """Base class; subclasses override the event hooks they care about.
+
+    Two declared flags tell the machine what the hooks do; the flow
+    engine (:mod:`repro.lint.flow`) infers both from the hook bodies and
+    the test suite checks each declaration against the inference:
+
+    * ``shardable`` — hooks touch only the acting PE's state and
+      schedule only at its event site, so :mod:`repro.pdes` may shard
+      the run;
+    * ``reads_beliefs`` — some hook reads neighbor-load beliefs
+      (``known_load`` / ``known_loads_of``).  Where it is False the
+      machine keeps none: load words still travel, with the same events
+      and control-word counts, but update nothing, and a belief read
+      raises :class:`~repro.oracle.engine.SimulationError`.
+    """
 
     #: short name used in result tables ("cwn", "gm", ...)
     name = "abstract"
@@ -68,6 +82,11 @@ class Strategy:
     #: remote shards.  Strategies that synchronously mutate *another*
     #: PE's state from a hook must set this False.
     shardable = True
+
+    #: whether any hook reads neighbor-load beliefs; strategies that
+    #: never call ``known_load`` / ``known_loads_of`` set this False and
+    #: their machines skip belief upkeep
+    reads_beliefs = True
 
     def __init__(self) -> None:
         self.machine: "Machine" | None = None

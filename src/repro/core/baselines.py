@@ -33,6 +33,7 @@ class KeepLocal(Strategy):
     """No load distribution: every goal stays on its creating PE."""
 
     name = "local"
+    reads_beliefs = False
 
     def on_goal_created(self, pe: int, goal: Goal) -> None:
         self.machine.enqueue(pe, goal)
@@ -71,6 +72,7 @@ class RandomPlacement(_TargetedPlacement):
     """Uniform random placement over all PEs (global, locality-blind)."""
 
     name = "random"
+    reads_beliefs = False
 
     def _pick_target(self, pe: int) -> int:
         return self.machine.rngs[pe].randrange(self.machine.topology.n)
@@ -80,6 +82,7 @@ class RoundRobin(_TargetedPlacement):
     """Each PE deals its spawned goals around the machine cyclically."""
 
     name = "roundrobin"
+    reads_beliefs = False
 
     def setup(self) -> None:
         n = self.machine.topology.n

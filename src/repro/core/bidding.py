@@ -75,6 +75,7 @@ class Bidding(Strategy):
     """
 
     name = "bidding"
+    reads_beliefs = False
 
     def __init__(self, threshold: float = 2.0, guard_interval: float = 200.0) -> None:
         super().__init__()

@@ -56,6 +56,7 @@ class CentralScheduler(Strategy):
     # The manager reads every PE's queue depth synchronously at dispatch
     # time — global state, not replicable across shards.
     shardable = False
+    reads_beliefs = False
 
     def __init__(self, manager: int = 0, dispatch_cost: float = 0.5) -> None:
         super().__init__()

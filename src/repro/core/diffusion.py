@@ -72,10 +72,11 @@ class Diffusion(Strategy):
             else:
                 engine.tick(
                     self.interval,
-                    lambda pe=pe: self._diffuse_cycle(pe),
+                    self._diffuse_cycle,
                     offset,
                     name=f"diff{pe}",
                     site=1 + pe,
+                    payload=pe,
                 )
 
     def _diffuse_cycle(self, pe: int) -> None:

@@ -163,27 +163,19 @@ class BatchGradient(GradientModel):
         params["batch"] = self.batch
         return params
 
-    def _gradient_cycle(self, pe: int) -> None:
+    def _ship_one(self, pe: int) -> bool:
+        """The batch relief: GM's one-goal shipment, up to ``batch`` times.
+
+        Runs from GM's own wakeup cycle when the node is abundant.
+        Returns whether any goal moved.
+        """
         machine = self.machine
-        load = machine.load_of(pe)
-        state = self.node_state(load)
-        if state == self.IDLE:
-            prox = 0
-        else:
-            prox = min(self.neighbor_proximity[pe].values()) + 1
-            clamp = machine.diameter + 1
-            if prox > clamp:
-                prox = clamp
-        if prox != self.proximity[pe]:
-            self.proximity[pe] = prox
-            machine.post_to_neighbors(pe, "prox", prox)
         shipped = 0
         while (
             shipped < self.batch
             and self.node_state(machine.load_of(pe)) == self.ABUNDANT
         ):
-            before = machine.stats.goal_messages_sent
-            self._ship_one(pe)
-            if machine.stats.goal_messages_sent == before:
+            if not super()._ship_one(pe):
                 break  # queue held only pinned continuations
             shipped += 1
+        return shipped > 0

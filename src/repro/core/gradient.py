@@ -63,6 +63,7 @@ class GradientModel(Strategy):
     """
 
     name = "gm"
+    reads_beliefs = False
 
     IDLE, NEUTRAL, ABUNDANT = range(3)
 
@@ -112,7 +113,8 @@ class GradientModel(Strategy):
         """One asynchronous gradient process per PE.
 
         On the callback kernel each is an engine tick (one recycled heap
-        entry per PE); the process kernel spawns the seed's generators.
+        entry per PE, carrying the PE as its payload); the process kernel
+        spawns the seed's generators.
         Both draw the stagger offsets from each PE's own RNG stream, so
         the wakeup schedule — and everything downstream — is identical.
         """
@@ -132,10 +134,11 @@ class GradientModel(Strategy):
             else:
                 engine.tick(
                     self.interval,
-                    lambda pe=pe: self._gradient_cycle(pe),
+                    self._gradient_cycle,
                     offset,
                     name=f"gm{pe}",
                     site=1 + pe,
+                    payload=pe,
                 )
 
     # -- the asynchronous gradient process ---------------------------------------
@@ -149,11 +152,15 @@ class GradientModel(Strategy):
         return self.NEUTRAL
 
     def _gradient_cycle(self, pe: int) -> None:
-        """One wakeup: classify, recompute proximity, broadcast, ship."""
+        """One wakeup: classify, recompute proximity, broadcast, relieve.
+
+        Every PE runs this every interval, so :meth:`node_state`'s
+        classification is inlined: below the low-water mark is idle,
+        above the high-water mark (never below the low one) abundant.
+        """
         machine = self.machine
         load = machine.load_of(pe)
-        state = self.node_state(load)
-        if state == self.IDLE:
+        if load < self.low_water_mark:
             prox = 0
         else:
             prox = min(self.neighbor_proximity[pe].values()) + 1
@@ -163,7 +170,7 @@ class GradientModel(Strategy):
         if prox != self.proximity[pe]:
             self.proximity[pe] = prox
             machine.post_to_neighbors(pe, "prox", prox)
-        if state == self.ABUNDANT:
+        if load > self.high_water_mark:
             self._ship_one(pe)
 
     def _gradient_process(self, pe: int):
@@ -173,18 +180,28 @@ class GradientModel(Strategy):
             self._gradient_cycle(pe)
             yield hold(interval)
 
-    def _ship_one(self, pe: int) -> None:
+    def _ship_one(self, pe: int) -> bool:
+        """An abundant node's relief: one goal toward the least proximity.
+
+        Returns whether a goal moved.  Subclasses that relieve
+        differently override this (the batch variant ships several).
+        """
         machine = self.machine
         goal = machine.take_shippable(pe, newest_first=self.ship == "newest")
         if goal is None:
             # Queue holds only pinned continuations; nothing can move.
-            return
+            return False
         nbrs = machine.neighbors(pe)
-        table = self.neighbor_proximity[pe]
-        proxes = [table[nb] for nb in nbrs]
-        target = argmin_load(nbrs, proxes, machine.rngs[pe], self.tie_break)
+        proxes = list(map(self.neighbor_proximity[pe].__getitem__, nbrs))
+        # argmin_load's unique-minimum case inline, as CWN's placement does.
+        least = min(proxes)
+        if proxes.count(least) == 1:
+            target = nbrs[proxes.index(least)]
+        else:
+            target = argmin_load(nbrs, proxes, machine.rngs[pe], self.tie_break)
         goal.hops += 1
-        machine.send_goal(pe, target, GoalMessage(pe, target, goal, hops=goal.hops))
+        machine.send_goal(pe, target, GoalMessage(pe, target, goal, goal.hops))
+        return True
 
     # -- event hooks -----------------------------------------------------------
 

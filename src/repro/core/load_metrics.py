@@ -11,7 +11,8 @@ continuations soon; advertising 0 invites goals it cannot serve promptly.
 :func:`make_load_metric` builds the callable installed as
 ``Machine.load_fn``:
 
-* ``"queue"`` — the paper's measure, ``len(queue)``;
+* ``"queue"`` — the paper's measure, ``len(queue)`` (the machine's
+  own default, :func:`repro.oracle.machine.queue_length`);
 * ``"commitments"`` — ``len(queue) + weight * pending_tasks``, the
   conclusion's suggested refinement.
 """
@@ -21,15 +22,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
+# The paper's measure is defined once, in the oracle layer: it is the
+# machine's default, so installing it keeps the machine's queue fast paths.
+from ..oracle.machine import queue_length
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..oracle.pe import PE
 
 __all__ = ["make_load_metric", "queue_length", "with_commitments"]
-
-
-def queue_length(pe: "PE") -> float:
-    """The paper's measure: messages waiting to be processed."""
-    return float(pe.queue_length)
 
 
 def with_commitments(weight: float = 0.5) -> Callable[["PE"], float]:

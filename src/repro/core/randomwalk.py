@@ -41,6 +41,7 @@ class RandomWalk(Strategy):
     """
 
     name = "randomwalk"
+    reads_beliefs = False
 
     def __init__(self, radius: int = 5, horizon: int = 1, keep_prob: float = 0.3) -> None:
         super().__init__()

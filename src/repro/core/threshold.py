@@ -40,6 +40,7 @@ class ThresholdRandom(Strategy):
     """
 
     name = "threshold"
+    reads_beliefs = False
 
     def __init__(self, threshold: float = 2.0, max_transfers: int = 3) -> None:
         super().__init__()

@@ -22,7 +22,8 @@ What it understands:
   caller gets a ``schedule`` effect at the *site's* locality, and the
   callback becomes a :class:`~.model.SchedEdge` whose acting PE is the
   site PE — including ``lambda pe=pe: ...`` default-binding, local
-  closures, and tuple payloads;
+  closures, and tuple payloads (``after``'s and a tick's ``payload=``
+  bind the callback's first parameter alike);
 * wall-clock reads and hash-order set iteration (via the same local
   set-type inference the ``unordered-iteration`` rule uses).
 
@@ -789,12 +790,11 @@ class _Extractor:
         action = node.args[action_idx]
 
         payload: Optional[ast.expr] = None
-        if method in ("schedule", "after"):
-            if len(node.args) > 2:
-                payload = node.args[2]
-            for kw in node.keywords:
-                if kw.arg == "payload":
-                    payload = kw.value
+        if method in ("schedule", "after") and len(node.args) > 2:
+            payload = node.args[2]
+        for kw in node.keywords:  # a tick takes its payload by keyword only
+            if kw.arg == "payload":
+                payload = kw.value
         payload_args: Tuple[Binding, ...] = ()
         if payload is not None and not (
             isinstance(payload, ast.Constant) and payload.value is None

@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Generator, Iterable
 from contextlib import contextmanager
+from functools import partial
 from typing import Any
 
 __all__ = [
@@ -253,10 +254,11 @@ class Tick:
     """A recurring callback owning one reusable heap entry.
 
     Created by :meth:`Engine.tick`.  On each firing the kernel calls
-    ``fn()`` and pushes the *same* five-slot entry back with an advanced
-    time and a fresh sequence number — per period that is one heappush
-    and zero allocations, against the generator pattern's resumption
-    frames plus a command tuple plus a new heap entry.
+    ``fn()`` (``fn(payload)`` when the tick carries a payload) and pushes
+    the *same* six-slot entry back with an advanced time and a fresh
+    sequence number — per period that is one heappush and zero
+    allocations, against the generator pattern's resumption frames plus
+    a command tuple plus a new heap entry.
 
     The sequence number is (re)drawn **after** ``fn()`` returns, exactly
     where a generator process would schedule its next ``hold`` — so among
@@ -266,21 +268,24 @@ class Tick:
     """
 
     __slots__ = (
-        "engine", "interval", "fn", "name", "site", "_entry", "_skip", "_stopped"
+        "engine", "interval", "fn", "payload", "name", "site", "_entry", "_skip",
+        "_stopped",
     )
 
     def __init__(
         self,
         engine: "Engine",
         interval: float,
-        fn: Callable[[], Any],
+        fn: Callable[..., Any],
         name: str = "",
         skip_first: bool = False,
         site: int = 0,
+        payload: Any = None,
     ) -> None:
         self.engine = engine
         self.interval = interval
         self.fn = fn
+        self.payload = payload
         self.name = name or getattr(fn, "__name__", "tick")
         self.site = site
         #: emulate a hold-first process body: the first firing only
@@ -289,23 +294,38 @@ class Tick:
         self._stopped = False
         self._entry: list | None = None
 
-    def _fire(self, _payload: Any = None) -> None:
-        if self._stopped:
-            self._entry = None
-            return
-        if self._skip:
-            self._skip = False
-        else:
-            self.fn()
+    def _bind(self, entry: list) -> Callable[[Any], None]:
+        """The firing, bound once: a closure over ``entry``, the site's
+        push counter and the heap.
+
+        A payload is bound with a C-level ``partial``, so a firing runs
+        no frame between the event loop and ``fn``.  ``None`` means no
+        payload; anything else, PE 0 included, is passed.
+        """
+        self._entry = entry
         engine = self.engine
-        entry = self._entry
-        site = self.site
+        heap = engine._heap
         seqs = engine._site_seq
-        k = seqs[site] + 1
-        seqs[site] = k
-        entry[0] = engine.now + self.interval
-        entry[3] = k
-        heapq.heappush(engine._heap, entry)
+        site = self.site
+        interval = self.interval
+        call = self.fn if self.payload is None else partial(self.fn, self.payload)
+        push = heapq.heappush
+
+        def fire(_payload: Any = None) -> None:
+            if self._stopped:
+                self._entry = None
+                return
+            if self._skip:
+                self._skip = False
+            else:
+                call()
+            k = seqs[site] + 1
+            seqs[site] = k
+            entry[0] = engine.now + interval
+            entry[3] = k
+            push(heap, entry)
+
+        return fire
 
     def stop(self) -> None:
         """Cancel future firings (takes effect when the pending entry pops)."""
@@ -397,13 +417,14 @@ class Engine:
     def tick(
         self,
         interval: float,
-        fn: Callable[[], Any],
+        fn: Callable[..., Any],
         offset: float = 0.0,
         *,
         name: str = "",
         skip_first: bool = False,
         priority: int = 10,
         site: int = 0,
+        payload: Any = None,
     ) -> Tick:
         """Run ``fn()`` every ``interval`` units, first at ``now + offset``.
 
@@ -412,17 +433,20 @@ class Engine:
         silent reschedule — the shape of a generator body that starts
         with ``yield hold(interval)`` (samplers, broadcasters), where the
         registration event primes the loop without sampling at t=0.
+        ``payload`` (any value but ``None``) makes each firing call
+        ``fn(payload)``: one bound method serves every PE's tick without
+        a per-PE closure.
         """
         if interval <= 0:
             raise SimulationError(f"tick interval must be positive (got {interval!r})")
         if offset < 0:
             raise SimulationError(f"cannot tick into the past (offset={offset!r})")
-        tick = Tick(self, interval, fn, name, skip_first, site)
+        tick = Tick(self, interval, fn, name, skip_first, site, payload)
         seqs = self._site_seq
         k = seqs[site] + 1
         seqs[site] = k
-        entry = [self.now + offset, priority, site, k, tick._fire, None]
-        tick._entry = entry
+        entry = [self.now + offset, priority, site, k, None, None]
+        entry[4] = tick._bind(entry)
         heapq.heappush(self._heap, entry)
         return tick
 

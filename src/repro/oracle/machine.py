@@ -55,11 +55,15 @@ from .stats import SimResult, StatsCollector, UtilizationSample
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.base import Strategy
 
-__all__ = ["Machine"]
+__all__ = ["Machine", "queue_length"]
 
 
-def _queue_load(pe: "PE") -> float:
-    """The paper's default load measure: messages waiting to be processed."""
+def queue_length(pe: "PE") -> float:
+    """The paper's load measure: messages waiting to be processed.
+
+    The machine's default ``load_fn``; while it is installed, the machine
+    reads queue lengths inline instead of calling it.
+    """
     return float(len(pe.queue))
 
 
@@ -188,10 +192,10 @@ class Machine:
             None if getattr(cls.on_idle, "_noop_hook", False) else strategy.on_idle
         )
 
+        self._bind_hop_path()
         #: the load measure; strategies may replace it (future-commitments
         #: metric).  Receives the PE object, returns a float.
-        self.load_fn = _queue_load
-        self._bind_hop_path()
+        self.load_fn = queue_length
 
         self._finished = False
         self.completion_time: float = float("nan")
@@ -234,7 +238,8 @@ class Machine:
     # two services a placement calls on every hop (``neighbors`` and
     # ``load_of``) become instance attributes bound to direct lookups,
     # shadowing the documented methods below, which stay as the reference
-    # spelling.
+    # spelling.  ``load_changed``, run on every queue push and pop, is
+    # bound the same way where its whole body is one on-change post.
 
     def _bind_hop_path(self) -> None:
         n = self.topology.n
@@ -262,9 +267,22 @@ class Machine:
         self._on_goal_message = self.strategy.on_goal_message
         self._deliver_goal = self._goal_arrived
         self._deliver_response = self._response_arrived
-        self._deliver_load_word = self._apply_load_word
+        if self.strategy.reads_beliefs:
+            self._deliver_load_word = self._apply_load_word
+        else:
+            # No hook reads beliefs: a load word keeps its event, its key
+            # and its control-word count, and its action is a no-op in C.
+            self._deliver_load_word = len
+            self.known_load = self.known_loads_of = self._no_beliefs  # type: ignore[method-assign]
         #: infinite default column for known_loads_of's map over a row
         self._unknown = repeat(0.0)
+
+    def _no_beliefs(self, *_args: Any, **_kwargs: Any) -> Any:
+        """``known_load`` / ``known_loads_of`` of a belief-free machine."""
+        raise SimulationError(
+            f"strategy {self.strategy.name!r} declares reads_beliefs = False, "
+            "so this machine keeps no load beliefs to answer from"
+        )
 
     @property
     def load_fn(self) -> Callable[[PE], float]:
@@ -273,17 +291,53 @@ class Machine:
 
     @load_fn.setter
     def load_fn(self, fn: Callable[[PE], float]) -> None:
-        # Rebinds load_of, which placements call on every hop.  While the
-        # measure is the queue length, _queues lets load_changed (run on
-        # every queue push and pop) read it inline.
+        # Rebinds load_of, which placements call on every hop, and
+        # load_changed, which every queue push and pop calls.  While the
+        # measure is the queue length, both read _queues inline.
         self._load_fn = fn
         pes = self.pes
-        if fn is _queue_load:
+        if fn is queue_length:
             self._queues = queues = [pe.queue for pe in pes]
             self.load_of = lambda pe: float(len(queues[pe]))  # type: ignore[method-assign]
         else:
             self._queues = None
             self.load_of = lambda pe: fn(pes[pe])  # type: ignore[method-assign]
+        self._bind_load_changed()
+
+    def _bind_load_changed(self) -> None:
+        """Bind ``load_changed`` as a closure where its body reduces to one
+        on-change post of the queue length: no strategy hook, ``on_change``
+        mode, the queue measure, and no subclass override.  Elsewhere the
+        method runs."""
+        vars(self).pop("load_changed", None)
+        queues = self._queues
+        if (
+            queues is None
+            or self._on_load_changed is not None
+            or not self._post_on_change
+            or type(self).load_changed is not Machine.load_changed
+        ):
+            return
+        last_posted = self._last_posted
+        stats = self.stats
+        engine = self.engine
+        heap = engine._heap
+        seqs = engine._site_seq
+        delay = self._word_delay
+        deliver = self._deliver_load_word
+
+        def load_changed(pe: int) -> None:
+            value = float(len(queues[pe]))
+            if value == last_posted[pe]:
+                return
+            last_posted[pe] = value
+            stats.control_words_sent += 1
+            site = 1 + pe
+            k = seqs[site] + 1
+            seqs[site] = k
+            heappush(heap, [engine.now + delay, 10, site, k, deliver, (pe, value)])
+
+        self.load_changed = load_changed  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Run control
@@ -551,7 +605,10 @@ class Machine:
 
         Runs on every queue push/pop — the quiet modes (instant reads
         live; periodic has its own broadcaster; piggyback only rides on
-        regular traffic) exit on one precomputed flag test.
+        regular traffic) exit on one precomputed flag test.  In the
+        common case (``on_change``, the queue measure, no strategy hook)
+        an instance closure bound by ``_bind_load_changed`` runs instead;
+        this body is its reference spelling.
         """
         hook = self._on_load_changed
         if hook is not None:
@@ -593,7 +650,7 @@ class Machine:
             if value != self._last_posted[pe]:
                 self._last_posted[pe] = value
                 self.stats.control_words_sent += 1
-                engine.after(delay, self._apply_load_word, (pe, value), site=1 + pe)
+                engine.after(delay, self._deliver_load_word, (pe, value), site=1 + pe)
 
     def _periodic_load_broadcaster(self):
         """Generator twin of :meth:`_broadcast_loads` (process kernel)."""
@@ -621,7 +678,7 @@ class Machine:
             return
         # Strategy words cannot wait for traffic: "piggyback" falls back
         # to on_change-style delayed delivery here.
-        targets = self.topology.neighbors(src) if dst is None else (dst,)
+        targets = self.neighbors(src) if dst is None else (dst,)
         self.stats.control_words_sent += len(targets)
         delay = 0.0 if mode == "instant" else self.config.load_info_delay
         if delay > 0:

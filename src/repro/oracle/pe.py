@@ -215,11 +215,18 @@ class PE:
         goal (default — oldest goals are closest to execution and keeping
         them preserves local progress).
         """
-        rng = range(len(self.queue) - 1, -1, -1) if newest_first else range(len(self.queue))
+        queue = self.queue
+        if newest_first and queue and type(queue[-1]) is Goal:
+            # The usual case: the newest item is a goal, so the scan
+            # below would stop at once; pop it.
+            goal = queue.pop()
+            self.machine.load_changed(self.index)
+            return goal
+        rng = range(len(queue) - 1, -1, -1) if newest_first else range(len(queue))
         for i in rng:
-            if type(self.queue[i]) is Goal:
-                goal = self.queue[i]
-                del self.queue[i]
+            if type(queue[i]) is Goal:
+                goal = queue[i]
+                del queue[i]
                 self.machine.load_changed(self.index)
                 return goal  # type: ignore[return-value]
         return None

@@ -249,7 +249,7 @@ class ShardMachine(Machine):
         #: raw utilization samples: (key, time, [owned effective_busy])
         self._sample_log: list[tuple] = []
         #: key of the event currently executing (tuple copy — heap
-        #: entries are mutable lists that Tick._fire recycles)
+        #: entries are mutable lists that ticks recycle)
         self._cur_key: tuple = PREAMBLE_KEY
         # within-event ordering of boundary sends (see BoundaryChannel)
         self._sub_base = 0
@@ -315,7 +315,7 @@ class ShardMachine(Machine):
         engine = self.engine
         site = 1 + pe
         delay = self.config.load_info_delay
-        engine.after(delay, self._apply_load_word, (pe, value), site=site)
+        engine.after(delay, self._deliver_load_word, (pe, value), site=site)
         if self._word_export[pe]:
             self._outbox.append(
                 ("load", (engine.now + delay, 10, site, engine._site_seq[site]), pe, value)
@@ -336,7 +336,7 @@ class ShardMachine(Machine):
                 self._last_posted[pe] = value
                 self.stats.control_words_sent += 1
                 site = 1 + pe
-                engine.after(delay, self._apply_load_word, (pe, value), site=site)
+                engine.after(delay, self._deliver_load_word, (pe, value), site=site)
                 if self._word_export[pe]:
                     self._outbox.append(
                         (
@@ -353,7 +353,7 @@ class ShardMachine(Machine):
         # "channel" and "instant" modes are rejected by check_shardable,
         # so the delivery is always the delayed event the serial
         # on_change/periodic/piggyback path schedules.
-        targets = self.topology.neighbors(src) if dst is None else (dst,)
+        targets = self.neighbors(src) if dst is None else (dst,)
         self.stats.control_words_sent += len(targets)
         delay = self.config.load_info_delay
         mask = self._owner_mask
@@ -442,7 +442,7 @@ class ShardWorker:
         self._deliver = {
             "goal": m._goal_arrived,
             "response": m._response_arrived,
-            "load": m._apply_load_word,
+            "load": m._deliver_load_word,
             "word": m._apply_word,
         }
 

@@ -449,6 +449,30 @@ class TestTick:
             engine.step()
             assert tick._entry is entry, "the tick must recycle its entry"
 
+    def test_payload_fires_every_period_on_one_entry(self):
+        """``payload=`` calls ``fn(payload)`` each period on the tick's one
+        recycled entry; a payload of 0 (PE 0) is passed, not dropped."""
+        engine = Engine()
+        calls = []
+        tick = engine.tick(
+            5.0, lambda pe: calls.append((pe, engine.now)), offset=1.0, payload=0
+        )
+        entry = tick._entry
+        for _ in range(3):
+            engine.step()
+            assert tick._entry is entry and engine.pending == 1
+        assert calls == [(0, 1.0), (0, 6.0), (0, 11.0)]
+
+    def test_payload_ticks_share_one_callback(self):
+        engine = Engine()
+        engine.ensure_sites(3)
+        log = []
+        for pe in range(2):
+            engine.tick(10.0, log.append, float(pe), site=1 + pe, payload=pe)
+        engine.schedule(25.0, lambda _: engine.stop())
+        engine.run()
+        assert log == [0, 1, 0, 1, 0, 1]
+
     def test_stop_cancels_future_firings(self):
         engine = Engine()
         times = []

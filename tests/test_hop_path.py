@@ -13,10 +13,11 @@ Two contracts hold it in place:
   every topology family, and a custom topology whose parallel channels
   still go through the per-hop backlog choice;
 * **frames per event** — a profile hook counts the Python frames each
-  kind of event executes on a CWN run.  The bounds sit just above the
-  bound path's counts (raise them only deliberately); the kernel before
-  it paid 8.8 frames per event overall (15.9 per goal-hop arrival, 6.6
-  per response hop, 2 per load word).
+  kind of event executes on a CWN run and a GM run.  The bounds sit just
+  above the bound path's counts (raise them only deliberately); the
+  kernel before it paid 8.8 frames per event overall on CWN (15.9 per
+  goal-hop arrival, 6.6 per response hop, 2 per load word) and 5.1 on
+  GM (6.3 per gradient wakeup, 1 per load word).
 
 Record the digests again, on the commit *before* an intentional kernel
 change, with::
@@ -27,6 +28,7 @@ change, with::
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import sys
 from collections import Counter
@@ -37,8 +39,9 @@ import pytest
 
 from repro.core import CWN, AdaptiveCWN, GradientModel, RandomPlacement
 from repro.oracle.config import SimConfig
-from repro.oracle.machine import Machine
+from repro.oracle.machine import Machine, queue_length
 from repro.parallel.cache import result_json
+from repro.pdes.shard import ShardWorker
 from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.topology.ring import Ring
@@ -154,7 +157,10 @@ def frames_per_event(machine: Machine) -> tuple[dict[str, float], float]:
     """Python frames per event, by event kind and overall, over one run.
 
     A profile hook counts every Python-level call made inside each event
-    (the action's own frame included; builtins are not frames).
+    (the action's own frame included; builtins are not frames).  An
+    action that runs in C — a builtin called straight from the event
+    loop, other than the loop's own heappop — is an event with zero
+    frames, keyed ``C:<name>``.
     """
     calls: Counter[str] = Counter()
     events: Counter[str] = Counter()
@@ -162,7 +168,7 @@ def frames_per_event(machine: Machine) -> tuple[dict[str, float], float]:
     base = None  # the depth of Engine.run's frame while it runs
     kind = ""
 
-    def hook(frame, event, _arg):
+    def hook(frame, event, arg):
         nonlocal depth, base, kind
         if event == "call":
             depth += 1
@@ -179,6 +185,8 @@ def frames_per_event(machine: Machine) -> tuple[dict[str, float], float]:
             if depth == base:
                 base = None
             depth -= 1
+        elif event == "c_call" and depth == base and arg is not heapq.heappop:
+            events[f"C:{arg.__name__}"] += 1
 
     sys.setprofile(hook)
     try:
@@ -201,6 +209,17 @@ def test_cwn_frames_per_event():
     assert overall <= 5.6
 
 
+def test_gm_frames_per_event():
+    """GM's wakeup is a payload tick straight into ``_gradient_cycle``, and
+    its load words update no beliefs (GM reads none), so they run in C."""
+    machine = Scenario.from_spec("fib:13 @ grid:8x8 / gm?seed=1").build()
+    per_kind, overall = frames_per_event(machine)
+    assert per_kind["C:len"] == 0.0  # a load word runs no Python frame
+    assert "Machine._apply_load_word" not in per_kind
+    assert per_kind["Tick.fire"] <= 4.1
+    assert overall <= 3.9
+
+
 def test_bound_services_match_their_reference_methods():
     machine = Scenario.from_spec("fib:9 @ dlm:3x3x3 / acwn?seed=1").build()
     for pe, proc in enumerate(machine.pes):
@@ -212,8 +231,35 @@ def test_bound_services_match_their_reference_methods():
 
 def test_load_fn_replacement_rebinds_load_of():
     machine = Scenario.from_spec("fib:5 @ grid:2x2 / cwn?seed=1").build()
+    bound = machine.load_changed
+    assert "load_changed" in vars(machine)  # the on-change closure
     machine.pes[1].queue.extend([None, None])
     assert machine.load_of(1) == 2.0
     machine.load_fn = lambda pe: 10.0 * len(pe.queue)
     assert machine.load_of(1) == 20.0
     assert machine.known_loads_of(0, (1,)) == [0.0]  # beliefs, not live loads
+    # load_changed is rebound with load_of: the method, posting load_of
+    assert "load_changed" not in vars(machine)
+    machine.load_changed(1)
+    assert machine._last_posted[1] == 20.0
+    machine.load_fn = queue_length
+    assert machine.load_changed is not bound and "load_changed" in vars(machine)
+
+
+def test_load_changed_binds_only_where_its_body_is_one_post():
+    """Strategy hooks, other modes and subclass overrides keep the method."""
+
+    def bound(spec: str) -> bool:
+        return "load_changed" in vars(Scenario.from_spec(spec).build())
+
+    assert bound("fib:5 @ grid:2x2 / gm?seed=1")
+    assert bound("fib:5 @ grid:2x2 / acwn?seed=1")  # its "queue" metric is the default
+    assert not bound("fib:5 @ grid:2x2 / gm-event?seed=1")  # on_load_changed hook
+    assert not bound("fib:5 @ grid:2x2 / cwn?seed=1&cfg.load_info=periodic")
+    assert not bound("fib:5 @ grid:2x2 / cwn?seed=1&cfg.load_info=channel")
+    commitments = Machine(
+        Grid(2, 2), Fibonacci(5), AdaptiveCWN(load_metric="commitments"), SimConfig(seed=1)
+    )
+    assert "load_changed" not in vars(commitments)
+    shard = ShardWorker(Scenario.from_spec("fib:5 @ grid:2x2 / gm?seed=1"), 2, 0).machine
+    assert "load_changed" not in vars(shard)  # ShardMachine.load_changed logs its words

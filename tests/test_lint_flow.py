@@ -4,9 +4,9 @@ Three layers:
 
 * the **golden test** — the inferred effect set of every registered
   strategy's hooks is pinned to ``tests/golden/strategy_effects.json``,
-  and the inferred shardability verdict must agree with the declared
-  ``shardable`` flag for all fifteen strategies (the declared flags are
-  now *proved*, not reviewed);
+  and the inferred shardability verdict and belief reads must agree
+  with the declared ``shardable`` and ``reads_beliefs`` flags for all
+  fifteen strategies (the declared flags are *proved*, not reviewed);
 * **fixture tests** for the three flow rules (``shardable-contract``,
   ``determinism-taint``, ``helper-set-iteration``) — one minimal tree
   that triggers each, one that is clean;
@@ -106,6 +106,28 @@ class TestGoldenEffects:
                 f"if the kernel change is intentional, regenerate with "
                 f"`PYTHONPATH=src python tests/regen_strategy_effects.py`"
             )
+
+    def test_reads_beliefs_agrees_with_inference(self, installed_reports):
+        """``reads_beliefs`` is declared exactly where an entry point reads
+        ``known_load`` / ``known_loads_of``, in both directions: a read
+        under a False flag would find no beliefs (the machine keeps
+        none), and a True flag without one keeps rows nobody reads."""
+        from repro.core import STRATEGIES
+
+        belief_reads = {"machine.known_load", "machine.known_loads_of"}
+        mismatches = {}
+        for name, report in installed_reports.items():
+            inferred = any(
+                effect.kind == "read" and effect.what in belief_reads
+                for entry in report.entries
+                for effect in entry.effects
+            )
+            declared = STRATEGIES.entry(name).cls.reads_beliefs
+            if declared != inferred:
+                mismatches[name] = (declared, inferred)
+        assert mismatches == {}
+        readers = {n for n in installed_reports if STRATEGIES.entry(n).cls.reads_beliefs}
+        assert readers == {"acwn", "cwn", "diffusion", "stealing", "symmetric"}
 
     def test_summaries_are_not_vacuous(self, installed_reports):
         """A regression guard against the analysis silently seeing nothing."""

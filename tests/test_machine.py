@@ -110,14 +110,14 @@ class TestLoadInformation:
 
     def test_instant_mode_reads_live_load(self, grid4):
         cfg = SimConfig(seed=3, load_info="instant")
-        m = Machine(grid4, Fibonacci(5), KeepLocal(), cfg)
+        m = Machine(grid4, Fibonacci(5), CWN(radius=4, horizon=1), cfg)
         m.pes[3].push(_dummy_goal())
         m.pes[3].push(_dummy_goal())
         assert m.known_load(observer=2, subject=3) == 2.0
 
     def test_on_change_mode_has_delay(self, grid4):
         cfg = SimConfig(seed=3, load_info="on_change", load_info_delay=5.0)
-        m = Machine(grid4, Fibonacci(5), KeepLocal(), cfg)
+        m = Machine(grid4, Fibonacci(5), CWN(radius=4, horizon=1), cfg)
         # Two goals queued; at t=0 the executor pops one (posting load 1),
         # then computes for leaf_work=50 units, so at t=6 the last applied
         # load word is 1.
@@ -127,6 +127,18 @@ class TestLoadInformation:
         assert m.known_load(nbr, 3) == 0.0  # nothing has arrived yet
         m.engine.run(until=6.0)
         assert m.known_load(nbr, 3) == 1.0
+
+    def test_belief_free_machine_refuses_belief_reads(self, grid4):
+        """GM reads no beliefs, so its machine keeps none and says so;
+        a CWN machine still answers from its rows."""
+        gm = Machine(grid4, Fibonacci(5), GradientModel(), SimConfig(seed=3))
+        with pytest.raises(SimulationError, match="reads_beliefs"):
+            gm.known_load(2, 3)
+        with pytest.raises(SimulationError, match="reads_beliefs"):
+            gm.known_loads_of(2, grid4.neighbors(2))
+        cwn = Machine(grid4, Fibonacci(5), CWN(radius=4, horizon=1), SimConfig(seed=3))
+        assert cwn.known_load(2, 3) == 0.0
+        assert cwn.known_loads_of(2, grid4.neighbors(2)) == [0.0] * len(grid4.neighbors(2))
 
     def test_channel_mode_charges_channels(self, grid4):
         quiet = run(
