@@ -7,7 +7,7 @@ caught by the same harness that regenerates the paper.
 CI runs this file twice: with ``--benchmark-disable`` as a correctness
 smoke (every bench still executes once and asserts its result), and the
 floor tests below measure wall-clock events/sec with a 10x safety margin
-so an accidental return to generator-speed dispatch fails the build.
+so a gross slowdown of event dispatch fails the build.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 
 from repro.core import CWN, GradientModel
 from repro.oracle.config import SimConfig
-from repro.oracle.engine import Engine, hold, use_process_kernel
+from repro.oracle.engine import Engine
 from repro.oracle.machine import Machine
 from repro.topology import Grid
 from repro.workload import Fibonacci
@@ -35,25 +35,6 @@ def test_engine_event_throughput(benchmark):
 
     executed = benchmark(run_events)
     assert executed == 50_000
-
-
-def test_engine_process_throughput(benchmark):
-    """Generator-process resumption rate: 10 processes x 2k holds."""
-
-    def run_procs():
-        engine = Engine()
-
-        def proc():
-            for _ in range(2_000):
-                yield hold(1.0)
-
-        for _ in range(10):
-            engine.process(proc())
-        engine.run()
-        return engine.events_executed
-
-    executed = benchmark(run_procs)
-    assert executed >= 20_000
 
 
 def test_tick_scheduler_throughput(benchmark):
@@ -97,21 +78,6 @@ def test_end_to_end_gm_throughput(benchmark):
 
     def run_sim():
         return Machine(Grid(8, 8), Fibonacci(13), GradientModel(), SimConfig(seed=1)).run()
-
-    res = benchmark(run_sim)
-    assert res.result_value == 233
-
-
-def test_process_kernel_still_works(benchmark):
-    """The generator kernel (test/exotic-strategy path) stays correct and
-    is tracked here so its relative cost is visible in the history."""
-
-    def run_sim():
-        with use_process_kernel():
-            machine = Machine(
-                Grid(8, 8), Fibonacci(13), CWN(radius=5, horizon=1), SimConfig(seed=1)
-            )
-            return machine.run()
 
     res = benchmark(run_sim)
     assert res.result_value == 233

@@ -23,6 +23,7 @@ from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
 from repro.oracle.config import SimConfig
 from repro.oracle.machine import Machine
+from repro.scenario.arrivals import Arrivals
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -59,9 +60,7 @@ def test_open_system_poisson(benchmark, save_artifact):
                     Fibonacci(fib_n),
                     make_strategy(spec, family="grid"),
                     SimConfig(seed=1),
-                    queries=n_queries,
-                    arrival_pes=arrival_pes,
-                    arrival_times=times,
+                    arrivals=Arrivals(queries=n_queries, pes=arrival_pes, times=times),
                 )
                 res = machine.run()
                 rts = res.response_times

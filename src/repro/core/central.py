@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from ..oracle.engine import hold
 from ..oracle.message import GoalMessage
 from ..workload.base import Goal
 from .base import Strategy
@@ -122,11 +121,7 @@ class CentralScheduler(Strategy):
         self.max_backlog = max(self.max_backlog, len(self._inbox))
         if not self._dispatcher_running:
             self._dispatcher_running = True
-            engine = self.machine.engine
-            if self.machine.process_kernel:
-                engine.process(self._dispatcher(), name="central-dispatch")
-            else:
-                engine.after(0.0, self._dispatch_kick)
+            self.machine.engine.after(0.0, self._dispatch_kick)
 
     def _dispatch_one(self) -> bool:
         """Pop and place one goal; True if a goal was dispatched."""
@@ -172,12 +167,3 @@ class CentralScheduler(Strategy):
             self.machine.engine.after(self.dispatch_cost, self._dispatch_next)
         else:
             self._dispatcher_running = False
-
-    def _dispatcher(self):
-        """Generator twin of the callback dispatcher (process kernel)."""
-        while self._inbox:
-            if self.dispatch_cost > 0:
-                yield hold(self.dispatch_cost)
-            if not self._dispatch_one():
-                break
-        self._dispatcher_running = False

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..oracle.engine import hold
 from ..oracle.message import GoalMessage
 from ..workload.base import Goal
 from .base import Strategy
@@ -62,22 +61,16 @@ class Diffusion(Strategy):
         machine = self.machine
         engine = machine.engine
         rngs = machine.rngs
-        legacy = machine.process_kernel
         for pe in range(machine.topology.n):
             offset = rngs[pe].random() * self.interval if self.stagger else 0.0
-            if legacy:
-                engine.process(
-                    self._diffuser(pe), name=f"diff{pe}", delay=offset, site=1 + pe
-                )
-            else:
-                engine.tick(
-                    self.interval,
-                    self._diffuse_cycle,
-                    offset,
-                    name=f"diff{pe}",
-                    site=1 + pe,
-                    payload=pe,
-                )
+            engine.tick(
+                self.interval,
+                self._diffuse_cycle,
+                offset,
+                name=f"diff{pe}",
+                site=1 + pe,
+                payload=pe,
+            )
 
     def _diffuse_cycle(self, pe: int) -> None:
         """One exchange cycle: ship down every positive believed gradient."""
@@ -101,12 +94,6 @@ class Diffusion(Strategy):
             my_load = machine.load_of(pe)
             if my_load < 2:
                 break
-
-    def _diffuser(self, pe: int):
-        """Generator twin of :meth:`_diffuse_cycle` (process kernel)."""
-        while True:
-            self._diffuse_cycle(pe)
-            yield hold(self.interval)
 
     def on_goal_created(self, pe: int, goal: Goal) -> None:
         self.machine.enqueue(pe, goal)

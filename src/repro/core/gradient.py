@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..oracle.engine import hold
 from ..oracle.message import GoalMessage
 from ..workload.base import Goal
 from .base import Strategy, argmin_load
@@ -112,34 +111,24 @@ class GradientModel(Strategy):
     def start(self) -> None:
         """One asynchronous gradient process per PE.
 
-        On the callback kernel each is an engine tick (one recycled heap
-        entry per PE, carrying the PE as its payload); the process kernel
-        spawns the seed's generators.
-        Both draw the stagger offsets from each PE's own RNG stream, so
-        the wakeup schedule — and everything downstream — is identical.
+        Each is an engine tick: one recycled heap entry per PE, carrying
+        the PE as its payload.  The stagger offsets come from each PE's
+        own RNG stream, so a PE's wakeup schedule depends on nothing
+        another PE does.
         """
         machine = self.machine
         engine = machine.engine
         rngs = machine.rngs
-        legacy = machine.process_kernel
         for pe in range(machine.topology.n):
             offset = rngs[pe].random() * self.interval if self.stagger else 0.0
-            if legacy:
-                engine.process(
-                    self._gradient_process(pe),
-                    name=f"gm{pe}",
-                    delay=offset,
-                    site=1 + pe,
-                )
-            else:
-                engine.tick(
-                    self.interval,
-                    self._gradient_cycle,
-                    offset,
-                    name=f"gm{pe}",
-                    site=1 + pe,
-                    payload=pe,
-                )
+            engine.tick(
+                self.interval,
+                self._gradient_cycle,
+                offset,
+                name=f"gm{pe}",
+                site=1 + pe,
+                payload=pe,
+            )
 
     # -- the asynchronous gradient process ---------------------------------------
 
@@ -172,13 +161,6 @@ class GradientModel(Strategy):
             machine.post_to_neighbors(pe, "prox", prox)
         if load > self.high_water_mark:
             self._ship_one(pe)
-
-    def _gradient_process(self, pe: int):
-        """Generator twin of :meth:`_gradient_cycle` (process kernel)."""
-        interval = self.interval
-        while True:
-            self._gradient_cycle(pe)
-            yield hold(interval)
 
     def _ship_one(self, pe: int) -> bool:
         """An abundant node's relief: one goal toward the least proximity.

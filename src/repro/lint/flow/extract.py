@@ -18,7 +18,7 @@ What it understands:
 * RNG streams (``machine.rngs[pe]`` is the acting stream when ``pe``
   is; a ``self.rng.random()`` draw is a shared stream);
 * ``stats.<name>`` counter mutations;
-* engine scheduling (``engine.schedule/after/tick/process``): the
+* engine scheduling (``engine.schedule/after/tick``): the
   caller gets a ``schedule`` effect at the *site's* locality, and the
   callback becomes a :class:`~.model.SchedEdge` whose acting PE is the
   site PE — including ``lambda pe=pe: ...`` default-binding, local
@@ -81,7 +81,7 @@ MACHINE_PURE = {
 }
 
 #: engine methods that insert events; the value is the action-arg index
-SCHED_METHODS = {"schedule": 1, "after": 1, "tick": 1, "process": 0}
+SCHED_METHODS = {"schedule": 1, "after": 1, "tick": 1}
 
 #: container methods that mutate their receiver in place
 MUTATING_METHODS = {
@@ -588,7 +588,7 @@ class _Extractor:
             return
 
         if isinstance(func, ast.Attribute):
-            # engine.schedule / after / tick / process
+            # engine.schedule / after / tick
             if func.attr in SCHED_METHODS and self._is_engine(func.value):
                 self._schedule(node, func.attr)
                 return
@@ -814,7 +814,8 @@ class _Extractor:
                 )
             )
             return
-        # generator / pre-bound call: engine.process(self._proc(pe), ...)
+        # pre-bound call: engine.after(d, self._make(pe)) — the called
+        # method stands for the action, its arguments bound at the site
         if (
             isinstance(action, ast.Call)
             and isinstance(action.func, ast.Attribute)

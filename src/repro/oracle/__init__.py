@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .channel import Channel
 from .config import CostModel, SimConfig
-from .engine import Engine, Process, Signal, SimulationError, hold, passivate, waitevent
+from .engine import Engine, SimulationError
 from .machine import Machine
 from .message import ControlWord, GoalMessage, LoadUpdate, Message, ResponseMessage
 from .pe import PE, CombineItem, TaskRecord
@@ -31,16 +31,11 @@ __all__ = [
     "Machine",
     "Message",
     "PE",
-    "Process",
     "ResponseMessage",
-    "Signal",
     "SimConfig",
     "SimResult",
     "SimulationError",
     "StatsCollector",
     "TaskRecord",
     "UtilizationSample",
-    "hold",
-    "passivate",
-    "waitevent",
 ]

@@ -4,9 +4,7 @@ ORACLE models "one process for each communication channel", i.e. every
 channel serves one message at a time and queued messages wait — "thus it
 models contention for the basic resources of a parallel system".  Our
 :class:`Channel` is that resource, implemented with direct event
-callbacks rather than a generator process (the semantics are identical;
-the hot path avoids ~3 generator resumptions per transfer, and channel
-transfers dominate the event count of CWN runs).
+callbacks (channel transfers dominate the event count of CWN runs).
 
 A channel is either a point-to-point link (2 members) or a multi-drop bus
 (``span`` members, double-lattice-mesh).  A bus transfer occupies the bus

@@ -1,253 +1,50 @@
 """Discrete-event simulation kernel (the core of our ORACLE re-implementation).
 
 The paper ran its simulations on ORACLE, a multiprocessor simulator written
-in SIMSCRIPT II.5.  SIMSCRIPT provides an event calendar *and* a process
-abstraction; ORACLE used one simulated process per PE user process and one
+in SIMSCRIPT II.5, with one simulated process per PE user process and one
 per communication channel.  This module provides the equivalent kernel in
-pure Python:
+pure Python.  It has one execution model — event callbacks — placed on the
+calendar by three primitives:
 
-* an event heap keyed by ``(time, priority, site, sseq)`` so that
-  simultaneous events fire in a deterministic order.  A **site** is the
-  model entity an event acts for (a PE, a channel, or the machine
-  itself, as an integer index) and ``sseq`` is that site's private push
-  counter — so an event's full sort key is computable from *local*
-  information alone.  That locality is what lets the conservative
-  parallel kernel (:mod:`repro.pdes`) reproduce the serial total order
-  bit for bit: a shard owning a site draws exactly the sequence numbers
-  the serial run would, and events that cross shard boundaries travel
-  with their serial key attached,
-* direct **event callbacks** — the hot path: any callable can be put on
-  the calendar with :meth:`Engine.schedule` (validating) or
-  :meth:`Engine.after` (trusted, no validation),
-* a recurring-tick facility (:meth:`Engine.tick`) for periodic machinery
-  (samplers, load broadcasters, gradient wakeups) that reuses one mutable
-  heap entry instead of allocating a fresh one every period,
-* a generator-based :class:`Process` abstraction — a process is a Python
-  generator that ``yield``\\ s *commands* (:func:`hold`, :func:`waitevent`,
-  :func:`passivate`) to the kernel, exactly in the style of SIMSCRIPT or
-  SimPy processes — kept for tests and exotic strategies,
-* :class:`Signal` for condition-style wakeups.
+* :meth:`Engine.schedule` (validating) and :meth:`Engine.after` (trusted,
+  no validation) put any callable on the calendar for one firing — the
+  hot path;
+* :meth:`Engine.tick` fires a callback every period (samplers, load
+  broadcasters, gradient wakeups), reusing one mutable heap entry
+  instead of allocating a fresh one every period.
 
-The kernel is deliberately small and allocation-light: simulations in the
-reproduction push hundreds of thousands of events per run, and following
-the HPC guidance ("make it work, make it reliably fast where profiles say
-so") the hot path avoids per-event object churn.  Everything on the
-fib/nqueens Table-2 path — PE executors, channels, periodic strategy
-machinery — runs as callbacks; a generator process pays ~2 extra Python
-frames per resumption and should only be used where its linear control
-flow genuinely earns that cost.
+Every event sits on a heap keyed by ``(time, priority, site, sseq)`` so
+that simultaneous events fire in a deterministic order.  A **site** is
+the model entity an event acts for (a PE, a channel, or the machine
+itself, as an integer index) and ``sseq`` is that site's private push
+counter — so an event's full sort key is computable from *local*
+information alone.  That locality is what lets the conservative parallel
+kernel (:mod:`repro.pdes`) reproduce the serial total order bit for bit:
+a shard owning a site draws exactly the sequence numbers the serial run
+would, and events that cross shard boundaries travel with their serial
+key attached.
+
+ORACLE's processes become callback state machines: a PE executor is a
+dispatch/burst-done pair (:mod:`~repro.oracle.pe`), a channel a
+start/complete pair (:mod:`~repro.oracle.channel`), a periodic process
+body a tick.  The kernel is deliberately small and allocation-light:
+simulations in the reproduction push hundreds of thousands of events per
+run, and following the HPC guidance ("make it work, make it reliably
+fast where profiles say so") the hot path avoids per-event object churn.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Generator, Iterable
-from contextlib import contextmanager
+from collections.abc import Callable
 from functools import partial
 from typing import Any
 
-__all__ = [
-    "Engine",
-    "Process",
-    "Signal",
-    "SimulationError",
-    "Tick",
-    "hold",
-    "passivate",
-    "process_kernel_active",
-    "use_process_kernel",
-    "waitevent",
-]
+__all__ = ["Engine", "SimulationError", "Tick"]
 
 
 class SimulationError(RuntimeError):
-    """Raised for kernel misuse (negative delays, double activation...)."""
-
-
-# ---------------------------------------------------------------------------
-# Legacy process-kernel switch.
-#
-# The callback executors are bit-for-bit equivalent to the seed's
-# generator processes (same heap entries, same sequence numbers, same
-# event count).  The golden tests prove it by running both kernels and
-# comparing entire SimResults; this switch is how they reach the
-# generator implementations, which are otherwise dead on the hot path.
-# ---------------------------------------------------------------------------
-
-_process_kernel = False
-
-
-def process_kernel_active() -> bool:
-    """True while the seed's generator-process kernel is selected."""
-    return _process_kernel
-
-
-@contextmanager
-def use_process_kernel(enabled: bool = True):
-    """Context manager selecting the generator-process kernel (test-only).
-
-    A ``Machine`` captures the flag once, at construction, and its PEs,
-    periodic machinery, and strategy processes all key off that capture —
-    so a machine keeps whichever kernel it was built with for its whole
-    life, even if this context has since exited.
-    """
-    global _process_kernel
-    previous = _process_kernel
-    _process_kernel = enabled
-    try:
-        yield
-    finally:
-        _process_kernel = previous
-
-
-# ---------------------------------------------------------------------------
-# Process commands.
-#
-# A process generator yields one of these light-weight command tuples.  We
-# use plain tuples with an integer opcode rather than command classes: the
-# kernel dispatches on ``cmd[0]`` with no attribute lookups, which measures
-# roughly 2x faster than a class hierarchy for event-dense simulations.
-# ---------------------------------------------------------------------------
-
-_HOLD = 0
-_WAIT = 1
-_PASSIVATE = 2
-
-
-def hold(delay: float) -> tuple[int, float]:
-    """Command: advance this process by ``delay`` simulated time units."""
-    return (_HOLD, delay)
-
-
-def waitevent(signal: "Signal") -> tuple[int, "Signal"]:
-    """Command: sleep until ``signal`` fires; resumes with its payload."""
-    return (_WAIT, signal)
-
-
-def passivate() -> tuple[int, None]:
-    """Command: sleep indefinitely until somebody calls :meth:`Process.activate`."""
-    return (_PASSIVATE, None)
-
-
-class Signal:
-    """A broadcast condition processes can wait on.
-
-    :meth:`fire` wakes *all* waiting processes at the current simulation
-    time and hands each the payload.  A :class:`Signal` carries no memory:
-    a ``fire`` with no waiters is lost (use queues or state for level-
-    triggered conditions).
-    """
-
-    __slots__ = ("name", "_waiters")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: list[Process] = []
-
-    def fire(self, payload: Any = None) -> int:
-        """Wake every waiting process; return the number woken."""
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc._resume_with(payload)
-        return len(waiters)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
-
-
-class Process:
-    """A simulated process driven by a Python generator.
-
-    The generator receives the kernel's resume payload from each ``yield``
-    (the elapsed command for ``hold``, the signal payload for ``waitevent``,
-    and whatever ``activate(payload=...)`` passed for ``passivate``).
-    """
-
-    __slots__ = ("engine", "gen", "name", "alive", "_asleep", "site")
-
-    def __init__(
-        self, engine: "Engine", gen: Generator, name: str = "", site: int = 0
-    ) -> None:
-        self.engine = engine
-        self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
-        self.alive = True
-        #: True while passivated / waiting (i.e. not on the event heap).
-        self._asleep = False
-        #: ordering site this process's resumptions are keyed on (the
-        #: PE it models, or 0 for machine-level processes)
-        self.site = site
-
-    # -- kernel-side plumbing ------------------------------------------------
-
-    def _step(self, payload: Any = None) -> None:
-        """Advance the generator one command and schedule its continuation."""
-        engine = self.engine
-        try:
-            cmd = self.gen.send(payload)
-        except StopIteration:
-            self.alive = False
-            return
-        op = cmd[0]
-        if op == _HOLD:
-            delay = cmd[1]
-            if delay < 0:
-                self.alive = False
-                raise SimulationError(
-                    f"process {self.name!r} held for negative delay {delay!r}"
-                )
-            engine._schedule_process(delay, self)
-        elif op == _WAIT:
-            signal: Signal = cmd[1]
-            self._asleep = True
-            signal._waiters.append(self)
-        elif op == _PASSIVATE:
-            self._asleep = True
-        else:  # pragma: no cover - defensive
-            self.alive = False
-            raise SimulationError(f"unknown process command {cmd!r}")
-
-    def __call__(self, payload: Any = None) -> None:
-        """The process as an event action: resume it unless it has died.
-
-        Callable like any other action, so the event loop has one path
-        for callbacks and processes alike.
-        """
-        if self.alive:
-            self._step(payload)
-
-    def _resume_with(self, payload: Any) -> None:
-        if not self.alive:
-            return
-        self._asleep = False
-        self.engine._schedule_resume(self, payload)
-
-    # -- public API ----------------------------------------------------------
-
-    @property
-    def asleep(self) -> bool:
-        """True while passivated or waiting on a signal (off the heap)."""
-        return self._asleep
-
-    def activate(self, payload: Any = None) -> None:
-        """Wake a passivated process immediately (at the current sim time)."""
-        if not self.alive:
-            raise SimulationError(f"cannot activate dead process {self.name!r}")
-        if not self._asleep:
-            raise SimulationError(
-                f"process {self.name!r} is already scheduled; activate() is "
-                "only valid for passivated/waiting processes"
-            )
-        self._resume_with(payload)
-
-    def kill(self) -> None:
-        """Permanently stop the process; pending resumptions are ignored."""
-        self.alive = False
-        self.gen.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "dead" if not self.alive else ("asleep" if self._asleep else "ready")
-        return f"Process({self.name!r}, {state})"
+    """Raised for kernel misuse (negative delays, event-limit overrun...)."""
 
 
 class Tick:
@@ -257,14 +54,12 @@ class Tick:
     ``fn()`` (``fn(payload)`` when the tick carries a payload) and pushes
     the *same* six-slot entry back with an advanced time and a fresh
     sequence number — per period that is one heappush and zero
-    allocations, against the generator pattern's resumption frames plus
-    a command tuple plus a new heap entry.
+    allocations.
 
-    The sequence number is (re)drawn **after** ``fn()`` returns, exactly
-    where a generator process would schedule its next ``hold`` — so among
-    simultaneous events at its site a tick's next firing sorts after
-    everything its body scheduled there, bit-for-bit matching the
-    process it replaced.
+    Ordering rule: the next firing's sequence number is drawn from the
+    site's counter **after** ``fn()`` returns, so among simultaneous
+    events at its site the next firing sorts after everything the body
+    scheduled there.
     """
 
     __slots__ = (
@@ -288,8 +83,7 @@ class Tick:
         self.payload = payload
         self.name = name or getattr(fn, "__name__", "tick")
         self.site = site
-        #: emulate a hold-first process body: the first firing only
-        #: reschedules (same event count as the generator's priming step)
+        #: the first firing only reschedules (see Engine.tick)
         self._skip = skip_first
         self._stopped = False
         self._entry: list | None = None
@@ -430,9 +224,10 @@ class Engine:
 
         Returns the :class:`Tick`, whose one heap entry is recycled every
         period.  ``skip_first=True`` makes the firing at ``offset`` a
-        silent reschedule — the shape of a generator body that starts
-        with ``yield hold(interval)`` (samplers, broadcasters), where the
-        registration event primes the loop without sampling at t=0.
+        silent reschedule: it is executed and counted as an event, and
+        draws the next firing's sequence number, but does not call
+        ``fn`` — so the body first runs at ``offset + interval``
+        (samplers and broadcasters, which have nothing to report at t=0).
         ``payload`` (any value but ``None``) makes each firing call
         ``fn(payload)``: one bound method serves every PE's tick without
         a per-PE closure.
@@ -449,28 +244,6 @@ class Engine:
         entry[4] = tick._bind(entry)
         heapq.heappush(self._heap, entry)
         return tick
-
-    def _schedule_process(self, delay: float, proc: Process) -> None:
-        site = proc.site
-        seqs = self._site_seq
-        k = seqs[site] + 1
-        seqs[site] = k
-        heapq.heappush(self._heap, [self.now + delay, 10, site, k, proc, None])
-
-    def _schedule_resume(self, proc: Process, payload: Any) -> None:
-        site = proc.site
-        seqs = self._site_seq
-        k = seqs[site] + 1
-        seqs[site] = k
-        heapq.heappush(self._heap, [self.now, 10, site, k, proc, payload])
-
-    def process(
-        self, gen: Generator, name: str = "", delay: float = 0.0, site: int = 0
-    ) -> Process:
-        """Register a generator as a process; it first runs ``delay`` from now."""
-        proc = Process(self, gen, name, site)
-        self._schedule_process(delay, proc)
-        return proc
 
     # -- execution -----------------------------------------------------------
 
@@ -560,12 +333,11 @@ class Engine:
         """End the run after the current event completes.
 
         Unlike :meth:`clear`, stopping is sticky: events scheduled *by*
-        the in-flight event (or by processes resumed later in the same
-        timestep) do not restart execution, and :meth:`step` refuses to
-        single-step a stopped engine.  This is how a simulation declares
-        "the answer is in" while strategy machinery — periodic gradient
-        wakeups, steal retries — would otherwise keep seeding the
-        calendar forever.
+        the in-flight event do not restart execution, and :meth:`step`
+        refuses to single-step a stopped engine.  This is how a
+        simulation declares "the answer is in" while strategy machinery
+        — periodic gradient wakeups, steal retries — would otherwise
+        keep seeding the calendar forever.
         """
         self._stopped = True
 
@@ -577,9 +349,3 @@ class Engine:
     def clear(self) -> None:
         """Drop all pending events (used between experiment repetitions)."""
         self._heap.clear()
-
-
-def drain(engine: Engine, signals: Iterable[Signal]) -> None:
-    """Fire a set of signals so no process is left waiting (test helper)."""
-    for sig in signals:
-        sig.fire(None)

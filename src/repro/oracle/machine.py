@@ -47,7 +47,7 @@ from ..topology.base import Topology
 from ..workload.base import Goal, Program
 from .channel import Channel
 from .config import CostModel, SimConfig
-from .engine import Engine, SimulationError, hold, process_kernel_active
+from .engine import Engine, SimulationError
 from .message import ControlWord, GoalMessage, LoadUpdate, Message, ResponseMessage
 from .pe import PE
 from .stats import SimResult, StatsCollector, UtilizationSample
@@ -77,29 +77,15 @@ class Machine:
         strategy: "Strategy",
         config: SimConfig | None = None,
         start_pe: int = 0,
-        queries: int = 1,
-        arrival_spacing: float = 0.0,
-        arrival_pes: "Sequence[int] | None" = None,
-        arrival_times: "Sequence[float] | None" = None,
         *,
-        arrivals: "Arrivals | None" = None,
+        arrivals: Arrivals | None = None,
     ) -> None:
-        """``queries`` > 1 turns the machine into an open system: that
-        many instances of ``program`` arrive ``arrival_spacing`` apart
-        (query *k* at ``k * arrival_spacing``), each injected at
-        ``arrival_pes[k]`` (default: all at ``start_pe``).  The run ends
-        when the last root response arrives.
-
-        ``arrival_times`` overrides the uniform spacing with explicit
-        injection times (one non-negative float per query, any order of
-        magnitude — e.g. a pre-drawn Poisson process for open-system
-        studies).  Mutually exclusive with a nonzero
-        ``arrival_spacing``.
-
-        The four arrival knobs are the legacy spelling of one
-        :class:`~repro.scenario.arrivals.Arrivals` value, which may be
-        passed directly as ``arrivals=`` instead (not both); all
-        arrival validation lives on that class.
+        """``arrivals`` (default: one query at ``start_pe`` at time 0, the
+        paper's closed system) says how many instances of ``program``
+        enter the machine, when, and where — see
+        :class:`~repro.scenario.arrivals.Arrivals`, which holds all
+        arrival validation.  With several queries the machine is an open
+        system, and the run ends when the last root response arrives.
         """
         self.topology = topology
         self.program = program
@@ -107,27 +93,17 @@ class Machine:
         self.config = config or SimConfig()
         if not 0 <= start_pe < topology.n:
             raise ValueError(f"start_pe {start_pe} outside 0..{topology.n - 1}")
-        arrivals = Arrivals.resolve(
-            arrivals, queries, arrival_spacing, arrival_pes, arrival_times
-        )
+        arrivals = arrivals if arrivals is not None else Arrivals()
         arrivals.check_pes(topology.n)
         self.start_pe = start_pe
         self.arrivals = arrivals
         self.queries = arrivals.queries
-        self.arrival_spacing = arrivals.spacing
-        self.arrival_pes = None if arrivals.pes is None else list(arrivals.pes)
-        self._arrival_schedule = None if arrivals.times is None else list(arrivals.times)
 
         self.engine = Engine()
         self.engine.max_events = self.config.max_events
         # Ordering-site layout (see Engine): site 0 is the machine, then
         # one site per PE (1 + pe), then one per channel (1 + N + cid).
         self.engine.ensure_sites(1 + topology.n + len(topology.channels))
-        #: kernel choice, captured once at construction: PEs, periodic
-        #: machinery, and strategy processes all key off this machine
-        #: attribute so a machine keeps one kernel for its whole life
-        #: even if the use_process_kernel() context has since exited.
-        self.process_kernel = process_kernel_active()
         self.rng = random.Random(self.config.seed)
         #: one independent stream per PE, seeded from (seed, index) — all
         #: randomized strategy decisions draw from the *acting* PE's
@@ -348,26 +324,7 @@ class Machine:
         if self._finished:
             raise SimulationError("a Machine instance runs exactly once")
         cfg = self.config
-        legacy = self.process_kernel
-        if cfg.sample_interval > 0:
-            if legacy:
-                self.engine.process(self._sampler(), name="sampler")
-            else:
-                self._sample_prev = np.zeros(self.topology.n)
-                self.engine.tick(
-                    cfg.sample_interval, self._sample, name="sampler", skip_first=True
-                )
-        if cfg.load_info == "periodic":
-            if legacy:
-                self.engine.process(self._periodic_load_broadcaster(), name="loadcast")
-            else:
-                self.engine.tick(
-                    cfg.load_info_interval,
-                    self._broadcast_loads,
-                    name="loadcast",
-                    skip_first=True,
-                )
-        self.strategy.start()
+        self._start()
 
         # Telemetry (opt-in, see repro.obs.telemetry): one start/finish
         # event per run; the per-event simulation loop itself is never
@@ -385,18 +342,6 @@ class Machine:
                 queries=self.queries,
             )
         wall_start = time.perf_counter()  # lint: ok[wall-clock-in-kernel] telemetry throughput only
-
-        for k in range(self.queries):
-            pe = self.arrival_pes[k] if self.arrival_pes is not None else self.start_pe
-            if self._arrival_schedule is not None:
-                when = self._arrival_schedule[k]
-            else:
-                when = k * self.arrival_spacing
-            if when == 0.0:
-                self._inject((pe, k))
-            else:
-                self.engine.schedule(when, self._inject, (pe, k), site=1 + pe)
-
         self.engine.run()
         if not self._finished:
             raise SimulationError(
@@ -419,6 +364,35 @@ class Machine:
                 utilization=float(result.utilization),
             )
         return result
+
+    def _start(self, owned: Sequence[int] | None = None) -> None:
+        """The run preamble: periodic machinery, ``strategy.start()``, and
+        the query injections ``self.arrivals`` describes.
+
+        ``owned`` (a per-PE flag mask) restricts the injections to the
+        queries arriving at flagged PEs: each shard of a sharded run
+        replicates the rest and injects only on the PEs it owns.
+        """
+        cfg = self.config
+        engine = self.engine
+        if cfg.sample_interval > 0:
+            self._sample_prev = np.zeros(self.topology.n)
+            engine.tick(cfg.sample_interval, self._sample, name="sampler", skip_first=True)
+        if cfg.load_info == "periodic":
+            engine.tick(
+                cfg.load_info_interval, self._broadcast_loads, name="loadcast", skip_first=True
+            )
+        self.strategy.start()
+        arrivals = self.arrivals
+        for k in range(self.queries):
+            pe = arrivals.pes[k] if arrivals.pes is not None else self.start_pe
+            if owned is not None and not owned[pe]:
+                continue
+            when = arrivals.times[k] if arrivals.times is not None else k * arrivals.spacing
+            if when == 0.0:
+                self._inject((pe, k))
+            else:
+                engine.schedule(when, self._inject, (pe, k), site=1 + pe)
 
     def _inject(self, payload: tuple[int, int]) -> None:
         pe, query = payload
@@ -652,13 +626,6 @@ class Machine:
                 self.stats.control_words_sent += 1
                 engine.after(delay, self._deliver_load_word, (pe, value), site=1 + pe)
 
-    def _periodic_load_broadcaster(self):
-        """Generator twin of :meth:`_broadcast_loads` (process kernel)."""
-        interval = self.config.load_info_interval
-        while True:
-            yield hold(interval)
-            self._broadcast_loads()
-
     # ------------------------------------------------------------------
     # Word transport (strategy control data)
     # ------------------------------------------------------------------
@@ -748,7 +715,7 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _sample(self) -> None:
-        """One utilization sample (the tick body on the callback kernel)."""
+        """One utilization sample (the sampler tick's body)."""
         cfg = self.config
         interval = cfg.sample_interval
         n = self.topology.n
@@ -771,11 +738,3 @@ class Machine:
                 queue_depth=sum(len(pe.queue) for pe in self.pes),
                 calendar=self.engine.pending,
             )
-
-    def _sampler(self):
-        """Generator twin of :meth:`_sample` (process kernel)."""
-        interval = self.config.sample_interval
-        self._sample_prev = np.zeros(self.topology.n)
-        while True:
-            yield hold(interval)
-            self._sample()

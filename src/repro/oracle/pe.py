@@ -16,13 +16,9 @@ event calendar (the same treatment :mod:`~repro.oracle.channel` got):
   combine), and chains straight into the next burst without leaving the
   event.
 
-This is bit-for-bit equivalent to the seed's generator process — same
-heap entries, same sequence numbers, same event count — but drops the
-two generator frames (`_executor` + `_work`), the command tuple, and the
-``Process._step`` dispatch that every burst used to pay.  The generator
-implementation survives as ``_executor`` and is selected by
-:func:`~repro.oracle.engine.use_process_kernel` so the golden tests can
-prove the equivalence.
+One event per burst, plus one wake event each time a parked executor
+receives work: the stored result digests in ``tests/test_hop_path.py``
+pin that event sequence.
 
 The paper's load measure: "We simply count all the messages waiting to be
 processed as 'load'" — i.e. the queue length, goals and continuations
@@ -44,7 +40,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from ..workload.base import Goal, Leaf
-from .engine import hold, passivate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .machine import Machine
@@ -114,7 +109,6 @@ class PE:
         "machine",
         "queue",
         "tasks",
-        "proc",
         "idle",
         "busy_time",
         "goals_executed",
@@ -153,7 +147,7 @@ class PE:
         self._next_task_id = 0
         #: end time of the work burst currently charged into busy_time;
         #: lets effective_busy() report accrual-correct utilization while
-        #: a hold is still in progress (the time-series sampler needs it).
+        #: a burst is still in progress (the time-series sampler needs it).
         self._hold_end = 0.0
         # Hot-path caches: one attribute load instead of three per burst.
         self._engine = machine.engine
@@ -162,21 +156,14 @@ class PE:
         self._stats = machine.stats
         self._fifo = machine.config.queue_discipline == "fifo"
         #: True when the executor has drained its queue and needs a wake
-        #: event (the callback twin of ``Process.asleep``); False while a
-        #: startup/wake event is pending or a burst is in flight.
+        #: event; False while a startup/wake event is pending or a burst
+        #: is in flight.
         self._parked = False
         #: the in-flight work item and (for goals) its expansion, carried
         #: from burst start to ``_burst_done``
         self._item: Goal | CombineItem | None = None
         self._expansion: Any = None
-        if machine.process_kernel:
-            self.proc = machine.engine.process(
-                self._executor(), name=f"pe{index}", site=self._site
-            )
-        else:
-            #: legacy generator process, or None on the callback kernel
-            self.proc = None
-            machine.engine.after(0.0, self._dispatch, site=self._site)
+        machine.engine.after(0.0, self._dispatch, site=self._site)
 
     def effective_busy(self, now: float) -> float:
         """Busy time accrued up to ``now`` (mid-burst work counts pro rata)."""
@@ -197,14 +184,11 @@ class PE:
         self.queue.append(item)
         if self.idle:
             self.idle = False
-            if self.proc is None:
-                # Only a parked executor needs a kick; at t=0 (before its
-                # startup event fires) it will find the queue on its own.
-                if self._parked:
-                    self._parked = False
-                    self._engine.after(0.0, self._dispatch, site=self._site)
-            elif self.proc.asleep:
-                self.proc.activate()
+            # Only a parked executor needs a kick; at t=0 (before its
+            # startup event fires) it will find the queue on its own.
+            if self._parked:
+                self._parked = False
+                self._engine.after(0.0, self._dispatch, site=self._site)
         self.machine.load_changed(self.index)
 
     def take_shippable_goal(self, newest_first: bool = True) -> Goal | None:
@@ -238,8 +222,8 @@ class PE:
 
         The wake can be spurious: between ``push()`` scheduling it and it
         firing, a strategy may have shipped the queued goal elsewhere
-        (``take_shippable_goal``), so an empty queue here re-parks — the
-        exact shape of the generator's inner drain loop.
+        (``take_shippable_goal``), so an empty queue here marks the PE
+        idle, runs the idle hook, and parks.
         """
         if self.queue:
             self._begin_burst()
@@ -247,8 +231,8 @@ class PE:
         self.idle = True
         self.machine.pe_went_idle(self.index)
         if self.queue:
-            # The idle hook attracted work synchronously; start it rather
-            # than park (the generator kernel would lose this wakeup).
+            # The idle hook attracted work synchronously: start it now
+            # rather than park and wait for a wake event.
             self._begin_burst()
         else:
             self._parked = True
@@ -331,8 +315,7 @@ class PE:
                     depth=item.depth + 1,
                 )
                 machine.goal_created(self.index, child)
-        # Chain into the next item within this same event — exactly the
-        # generator's loop, minus its resumption machinery.
+        # Chain into the next item within this same event.
         if self.queue:
             self._begin_burst()
             return
@@ -343,74 +326,6 @@ class PE:
             self._begin_burst()
         else:
             self._parked = True
-
-    # -- legacy generator executor (process kernel; golden-test twin) ------------
-
-    def _work(self, duration: float):
-        """Charge ``duration`` of compute and hold for it (speed-scaled)."""
-        duration /= self.speed
-        self.busy_time += duration
-        self._hold_end = self.machine.engine.now + duration
-        yield hold(duration)
-
-    def _executor(self):
-        machine = self.machine
-        costs = machine.config.costs
-        program = machine.program
-        stats = machine.stats
-        fifo = machine.config.queue_discipline == "fifo"
-        while True:
-            while not self.queue:
-                self.idle = True
-                machine.pe_went_idle(self.index)
-                yield passivate()
-            item = self.queue.popleft() if fifo else self.queue.pop()
-            machine.load_changed(self.index)
-            if type(item) is Goal:
-                stats.record_goal_start(self.index, item)
-                self.goals_executed += 1
-                expansion = program.expand(item.payload)
-                if type(expansion) is Leaf:
-                    yield from self._work(costs.leaf_work * expansion.work)
-                    machine.respond(
-                        self.index,
-                        item.parent_pe,
-                        item.parent_task,
-                        item.child_index,
-                        expansion.value,
-                    )
-                else:
-                    yield from self._work(costs.split_work * expansion.work)
-                    task = TaskRecord(
-                        self._next_task_id,
-                        item.payload,
-                        item.parent_pe,
-                        item.parent_task,
-                        item.child_index,
-                        len(expansion.children),
-                        expansion.combine_work,
-                    )
-                    self._next_task_id += 1
-                    self.tasks[task.task_id] = task
-                    self.pending_tasks += 1
-                    machine.load_changed(self.index)
-                    for child_index, child_payload in enumerate(expansion.children):
-                        child = Goal(
-                            child_payload,
-                            parent_pe=self.index,
-                            parent_task=task.task_id,
-                            child_index=child_index,
-                            depth=item.depth + 1,
-                        )
-                        machine.goal_created(self.index, child)
-            else:  # CombineItem
-                task = item.task
-                yield from self._work(costs.combine_work * task.combine_mult)
-                value = program.combine(task.payload, task.values)
-                del self.tasks[task.task_id]
-                machine.respond(
-                    self.index, task.parent_pe, task.parent_task, task.child_index, value
-                )
 
     # -- response delivery ---------------------------------------------------------
 

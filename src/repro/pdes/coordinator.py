@@ -34,7 +34,7 @@ import numpy as np
 from ..core.base import Strategy
 from ..obs import telemetry as _telemetry
 from ..oracle.config import SimConfig
-from ..oracle.engine import SimulationError, process_kernel_active
+from ..oracle.engine import SimulationError
 from ..oracle.stats import SimResult, UtilizationSample
 from ..scenario.arrivals import Arrivals
 from ..topology.partition import Partition
@@ -88,11 +88,6 @@ def _check(
     topology: Topology, strategy: Strategy, config: SimConfig, partition: Partition
 ) -> float:
     """Validate shardability; return the lookahead or raise NotShardable."""
-    if process_kernel_active():
-        raise NotShardable(
-            "the legacy generator-process kernel cannot run sharded "
-            "(its events carry no site keys)"
-        )
     if not getattr(type(strategy), "shardable", False):
         raise NotShardable(
             f"strategy {strategy.name!r} is not shardable: its hooks read or "

@@ -449,40 +449,21 @@ class ShardWorker:
     # -- lifecycle ----------------------------------------------------------
 
     def prepare(self) -> dict:
-        """Replicate the serial ``Machine.run`` preamble, then prune.
+        """Run the serial preamble (``Machine._start``), then prune.
 
         Periodic machinery and ``strategy.start()`` run identically on
         every shard (synchronizing the replicated site-0 and RNG state);
-        query injections happen only on the owner of the arrival PE.
+        the owner mask limits query injections to the owner of the
+        arrival PE.
         Afterwards the heap is pruned of events parked at foreign PE
         sites — replicated construction scheduled startup and strategy
         machinery for every PE, but each executes only on its owner.
         """
         m = self.machine
-        cfg = m.config
-        engine = m.engine
-        if cfg.sample_interval > 0:
-            engine.tick(cfg.sample_interval, m._sample, name="sampler", skip_first=True)
-        if cfg.load_info == "periodic":
-            engine.tick(
-                cfg.load_info_interval, m._broadcast_loads, name="loadcast", skip_first=True
-            )
-        m.strategy.start()
         mask = m._owner_mask
-        for k in range(m.queries):
-            pe = m.arrival_pes[k] if m.arrival_pes is not None else m.start_pe
-            if m._arrival_schedule is not None:
-                when = m._arrival_schedule[k]
-            else:
-                when = k * m.arrival_spacing
-            if not mask[pe]:
-                continue
-            if when == 0.0:
-                m._inject((pe, k))
-            else:
-                engine.schedule(when, m._inject, (pe, k), site=1 + pe)
+        m._start(mask)
         n = m.topology.n
-        heap = engine._heap
+        heap = m.engine._heap
         heap[:] = [e for e in heap if not (1 <= e[2] <= n and not mask[e[2] - 1])]
         heapify(heap)
         return self._drain(None, 0)

@@ -95,9 +95,9 @@ class Arrivals:
     ) -> "Arrivals":
         """One arrival block from either spelling, never both.
 
-        Every entry point that accepts both a bundled ``arrivals=`` and
-        the four legacy knobs (``Machine``, ``Scenario.of``) funnels
-        through here, so the mutual-exclusion rule lives once.
+        ``Scenario.of``, which accepts both a bundled ``arrivals=`` and
+        the four legacy knobs, funnels through here, so the
+        mutual-exclusion rule lives once.
         """
         if arrivals is None:
             return cls.from_args(queries, spacing, pes, times)

@@ -9,20 +9,19 @@ import pytest
 from repro.core import paper_cwn
 from repro.oracle.config import SimConfig
 from repro.oracle.machine import Machine
+from repro.scenario.arrivals import Arrivals
 from repro.topology import Grid
 from repro.validation import check_result
 from repro.workload import Fibonacci
 
 
-def machine(arrival_times=None, queries=3, **kwargs):
+def machine(arrival_times, queries=3):
     return Machine(
         Grid(5, 5),
         Fibonacci(9),
         paper_cwn("grid"),
         SimConfig(seed=7),
-        queries=queries,
-        arrival_times=arrival_times,
-        **kwargs,
+        arrivals=Arrivals(queries=queries, times=arrival_times),
     )
 
 
@@ -73,9 +72,7 @@ class TestArrivalTimes:
                 Fibonacci(7),
                 paper_cwn("grid"),
                 SimConfig(),
-                queries=2,
-                arrival_spacing=10.0,
-                arrival_times=[0.0, 5.0],
+                arrivals=Arrivals(queries=2, spacing=10.0, times=[0.0, 5.0]),
             )
 
     def test_simultaneous_arrivals(self):

@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.oracle.engine import (
-    Engine,
-    Signal,
-    SimulationError,
-    hold,
-    passivate,
-    process_kernel_active,
-    use_process_kernel,
-    waitevent,
-)
+from repro.oracle.engine import Engine, SimulationError
 
 
 class TestScheduling:
@@ -196,213 +187,6 @@ class TestRunControl:
         assert engine.events_executed == 4  # 1 stepped + 2 run + the overrun
 
 
-class TestProcesses:
-    def test_hold_advances_process(self):
-        engine = Engine()
-        times = []
-
-        def proc():
-            times.append(engine.now)
-            yield hold(5.0)
-            times.append(engine.now)
-            yield hold(2.5)
-            times.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert times == [0.0, 5.0, 7.5]
-
-    def test_initial_delay(self):
-        engine = Engine()
-        times = []
-
-        def proc():
-            times.append(engine.now)
-            yield hold(1.0)
-
-        engine.process(proc(), delay=3.0)
-        engine.run()
-        assert times == [3.0]
-
-    def test_process_ends_when_generator_returns(self):
-        engine = Engine()
-
-        def proc():
-            yield hold(1.0)
-
-        p = engine.process(proc())
-        engine.run()
-        assert not p.alive
-
-    def test_process_is_an_ordinary_action(self):
-        """The event loop calls a process like any callback; a dead one is inert."""
-        engine = Engine()
-        steps = []
-
-        def proc():
-            steps.append("first")
-            yield passivate()
-            steps.append("second")
-
-        p = engine.process(proc())
-        engine.run()
-        assert steps == ["first"]
-        p("ignored payload")  # what the loop does with a resumption entry
-        assert steps == ["first", "second"]
-        assert not p.alive
-        p(None)  # a stale entry for a dead process does nothing
-        assert steps == ["first", "second"]
-
-    def test_negative_hold_raises(self):
-        engine = Engine()
-
-        def proc():
-            yield hold(-1.0)
-
-        engine.process(proc())
-        with pytest.raises(SimulationError, match="negative"):
-            engine.run()
-
-    def test_passivate_and_activate(self):
-        engine = Engine()
-        log = []
-
-        def sleeper():
-            log.append(("sleep", engine.now))
-            payload = yield passivate()
-            log.append(("woke", engine.now, payload))
-
-        p = engine.process(sleeper())
-        engine.schedule(4.0, lambda _: p.activate("hi"))
-        engine.run()
-        assert log == [("sleep", 0.0), ("woke", 4.0, "hi")]
-
-    def test_asleep_property(self):
-        engine = Engine()
-
-        def sleeper():
-            yield passivate()
-
-        p = engine.process(sleeper())
-        assert not p.asleep  # scheduled but not yet started
-        engine.run()
-        assert p.asleep
-
-    def test_activate_non_sleeping_raises(self):
-        engine = Engine()
-
-        def proc():
-            yield hold(10.0)
-
-        p = engine.process(proc())
-        engine.schedule(1.0, lambda _: p.activate())
-        with pytest.raises(SimulationError, match="already scheduled"):
-            engine.run()
-
-    def test_activate_dead_raises(self):
-        engine = Engine()
-
-        def proc():
-            yield hold(1.0)
-
-        p = engine.process(proc())
-        engine.run()
-        with pytest.raises(SimulationError, match="dead"):
-            p.activate()
-
-    def test_kill_stops_process(self):
-        engine = Engine()
-        log = []
-
-        def proc():
-            yield hold(1.0)
-            log.append("should not happen")
-
-        p = engine.process(proc())
-        p.kill()
-        engine.run()
-        assert log == []
-        assert not p.alive
-
-    def test_waitevent_receives_payload(self):
-        engine = Engine()
-        sig = Signal("data")
-        log = []
-
-        def waiter():
-            value = yield waitevent(sig)
-            log.append((engine.now, value))
-
-        engine.process(waiter())
-        engine.schedule(2.0, lambda _: sig.fire(42))
-        engine.run()
-        assert log == [(2.0, 42)]
-
-    def test_signal_wakes_all_waiters(self):
-        engine = Engine()
-        sig = Signal()
-        log = []
-
-        def waiter(tag):
-            value = yield waitevent(sig)
-            log.append((tag, value))
-
-        engine.process(waiter("a"))
-        engine.process(waiter("b"))
-        engine.schedule(1.0, lambda _: sig.fire("x"))
-        engine.run()
-        assert sorted(log) == [("a", "x"), ("b", "x")]
-
-    def test_signal_fire_returns_waiter_count(self):
-        engine = Engine()
-        sig = Signal()
-
-        def waiter():
-            yield waitevent(sig)
-
-        engine.process(waiter())
-        engine.process(waiter())
-        counts = []
-        engine.schedule(1.0, lambda _: counts.append(sig.fire()))
-        engine.run()
-        assert counts == [2]
-
-    def test_signal_without_waiters_is_lost(self):
-        sig = Signal()
-        assert sig.fire("lost") == 0
-
-    def test_two_processes_interleave(self):
-        engine = Engine()
-        log = []
-
-        def proc(tag, step):
-            for _ in range(3):
-                yield hold(step)
-                log.append((tag, engine.now))
-
-        engine.process(proc("fast", 1.0))
-        engine.process(proc("slow", 2.5))
-        engine.run()
-        assert log == [
-            ("fast", 1.0),
-            ("fast", 2.0),
-            ("slow", 2.5),
-            ("fast", 3.0),
-            ("slow", 5.0),
-            ("slow", 7.5),
-        ]
-
-    def test_unknown_command_raises(self):
-        engine = Engine()
-
-        def proc():
-            yield (99, None)
-
-        engine.process(proc())
-        with pytest.raises(SimulationError, match="unknown process command"):
-            engine.run()
-
-
 class TestAfter:
     def test_after_matches_schedule(self):
         engine = Engine()
@@ -431,8 +215,8 @@ class TestTick:
         assert times == [3.0, 13.0, 23.0, 33.0]
 
     def test_skip_first_emulates_hold_first_processes(self):
-        """skip_first=True is the shape of `while True: yield hold(i); body`:
-        a priming event at the offset, first body one interval later."""
+        """skip_first=True: a silent event at the offset, the first body
+        call one interval later."""
         engine = Engine()
         times = []
         engine.tick(10.0, lambda: times.append(engine.now), skip_first=True)
@@ -483,34 +267,25 @@ class TestTick:
         assert engine.pending == 0
 
     def test_tick_matches_generator_event_sequence(self):
-        """Bit-parity witness: a tick and the equivalent generator process
-        produce identical (time, seq-order) interleavings — including
-        events scheduled *by* the body sorting before the next firing."""
+        """Event-sequence witness: the body fires at the offset and every
+        interval after, each same-instant event it schedules right behind
+        it.  The literal trace is the one the generator-process kernel
+        produced for a process looping on the body and a 10-unit hold."""
+        engine = Engine()
+        log = []
 
-        def trace(engine, register):
-            log = []
+        def body():
+            log.append(("body", engine.now))
+            engine.schedule(0.0, lambda _: log.append(("side", engine.now)))
 
-            def body():
-                log.append(("body", engine.now))
-                engine.schedule(0.0, lambda _: log.append(("side", engine.now)))
-
-            register(engine, body)
-            engine.schedule(22.0, lambda _: engine.stop())
-            engine.run()
-            return log
-
-        def with_tick(engine, body):
-            engine.tick(10.0, body, offset=1.0)
-
-        def with_process(engine, body):
-            def proc():
-                while True:
-                    body()
-                    yield hold(10.0)
-
-            engine.process(proc(), delay=1.0)
-
-        assert trace(Engine(), with_tick) == trace(Engine(), with_process)
+        engine.tick(10.0, body, offset=1.0)
+        engine.schedule(22.0, lambda _: engine.stop())
+        engine.run()
+        assert log == [
+            ("body", 1.0), ("side", 1.0),
+            ("body", 11.0), ("side", 11.0),
+            ("body", 21.0), ("side", 21.0),
+        ]
 
     def test_validation(self):
         engine = Engine()
@@ -518,12 +293,3 @@ class TestTick:
             engine.tick(0.0, lambda: None)
         with pytest.raises(SimulationError, match="past"):
             engine.tick(1.0, lambda: None, offset=-1.0)
-
-    def test_process_kernel_switch_scopes_and_restores(self):
-        assert not process_kernel_active()
-        with use_process_kernel():
-            assert process_kernel_active()
-            with use_process_kernel(False):
-                assert not process_kernel_active()
-            assert process_kernel_active()
-        assert not process_kernel_active()

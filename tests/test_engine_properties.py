@@ -1,8 +1,8 @@
 """Property-based tests of the discrete-event kernel.
 
 The engine's contract is small but everything rests on it: time never
-runs backwards, equal-time events fire in schedule order, processes
-interleave deterministically, and `until` semantics are exact.  These
+runs backwards, equal-time events fire in schedule order, callback
+chains interleave deterministically, and `until` semantics are exact.  These
 properties are checked over randomized event programs generated by
 hypothesis.
 """
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oracle.engine import Engine, Signal, SimulationError, hold, passivate, waitevent
+from repro.oracle.engine import Engine, SimulationError
 
 DELAYS = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False),
@@ -51,16 +51,16 @@ def test_equal_time_events_fifo(n):
 @given(DELAYS)
 @settings(max_examples=40, deadline=None)
 def test_hold_sequence_advances_clock_exactly(delays):
-    """A process holding a sequence of delays ends at their sum."""
+    """A chain rescheduling itself after each delay ends at their sum."""
     engine = Engine()
     observed: list[float] = []
 
-    def proc():
-        for d in delays:
-            yield hold(d)
-            observed.append(engine.now)
+    def step(k):
+        observed.append(engine.now)
+        if k < len(delays):
+            engine.schedule(delays[k], step, k + 1)
 
-    engine.process(proc())
+    engine.schedule(delays[0], step, 1)
     engine.run()
     expected = []
     acc = 0.0
@@ -82,13 +82,16 @@ def test_two_processes_interleave_deterministically(d1, d2):
         engine = Engine()
         log: list[tuple[str, float]] = []
 
-        def proc(name, delays):
-            for d in delays:
-                yield hold(d)
+        def chain(name, delays):
+            def step(k):
                 log.append((name, engine.now))
+                if k < len(delays):
+                    engine.schedule(delays[k], step, k + 1)
 
-        engine.process(proc("a", d1))
-        engine.process(proc("b", d2))
+            engine.schedule(delays[0], step, 1)
+
+        chain("a", d1)
+        chain("b", d2)
         engine.run()
         return log
 
@@ -132,36 +135,6 @@ def test_stop_is_sticky_against_self_rescheduling():
     engine.schedule(0.0, reschedule)
     engine.run()
     assert count[0] == 5
-
-
-def test_passivate_then_activate_roundtrip():
-    engine = Engine()
-    log = []
-
-    def sleeper():
-        log.append(("sleep", engine.now))
-        yield passivate()
-        log.append(("woke", engine.now))
-
-    proc = engine.process(sleeper())
-    engine.schedule(7.0, lambda _p: proc.activate())
-    engine.run()
-    assert log == [("sleep", 0.0), ("woke", 7.0)]
-
-
-def test_waitevent_signal_delivers_payload():
-    engine = Engine()
-    sig = Signal("data-ready")
-    got = []
-
-    def waiter():
-        payload = yield waitevent(sig)
-        got.append((payload, engine.now))
-
-    engine.process(waiter())
-    engine.schedule(3.0, lambda _p: sig.fire("hello"))
-    engine.run()
-    assert got == [("hello", 3.0)]
 
 
 def test_max_events_guard_trips():

@@ -1,17 +1,20 @@
-"""The machine's bound hop path: bit-identical results, fewer frames per event.
+"""The kernel's stored reference, and the machine's bound hop path.
 
 The machine binds the per-hop services once, at construction: neighbor
 rows, the channel joining each neighbor pair, the belief rows a load
 word updates, the delivery callbacks (see ``Machine._bind_hop_path``).
-Two contracts hold it in place:
+Two contracts hold the kernel in place:
 
 * **bit identity** — every case below reproduces the result digest
-  stored in ``tests/golden/hop_path_digests.json``, which was recorded
-  on the kernel *before* the hop path was bound.  The cases reach every
-  branch of the path: all fifteen strategies, every ``load_info`` mode,
-  zero and positive route decisions, queue disciplines, open systems,
-  every topology family, and a custom topology whose parallel channels
-  still go through the per-hop backlog choice;
+  stored in ``tests/golden/hop_path_digests.json``, the serial kernel's
+  reference.  The spec cases were recorded on the kernel *before* the
+  hop path was bound; the generator-process kernel, since deleted,
+  reproduced every digest in the file.  The cases reach every branch of
+  the path: all fifteen strategies (spelled and built directly), every
+  ``load_info`` mode, zero and positive route decisions, queue
+  disciplines, periodic machinery, open systems, every topology family,
+  and a custom topology whose parallel channels still go through the
+  per-hop backlog choice;
 * **frames per event** — a profile hook counts the Python frames each
   kind of event executes on a CWN run and a GM run.  The bounds sit just
   above the bound path's counts (raise them only deliberately); the
@@ -37,15 +40,35 @@ from typing import Callable
 
 import pytest
 
-from repro.core import CWN, AdaptiveCWN, GradientModel, RandomPlacement
+from repro.core import (
+    CWN,
+    STRATEGIES as REGISTERED,
+    AdaptiveCWN,
+    BatchGradient,
+    Bidding,
+    CentralScheduler,
+    Diffusion,
+    EventGradient,
+    GradientModel,
+    KeepLocal,
+    RandomPlacement,
+    RandomWalk,
+    RoundRobin,
+    Symmetric,
+    ThresholdRandom,
+    WorkStealing,
+    paper_cwn,
+    paper_gm,
+)
 from repro.oracle.config import SimConfig
 from repro.oracle.machine import Machine, queue_length
 from repro.parallel.cache import result_json
 from repro.pdes.shard import ShardWorker
 from repro.scenario import Scenario
-from repro.topology import Grid
+from repro.scenario.arrivals import Arrivals
+from repro.topology import DoubleLatticeMesh, Grid
 from repro.topology.ring import Ring
-from repro.workload import Fibonacci
+from repro.workload import DivideConquer, Fibonacci
 
 GOLDEN = Path(__file__).parent / "golden" / "hop_path_digests.json"
 
@@ -114,7 +137,75 @@ def _machines() -> dict[str, Callable[[], Machine]]:
             AdaptiveCWN(4, 1, load_metric="commitments"),
             SimConfig(seed=4, load_info="instant"),
         ),
+        **_direct(),
+        **_paper(),
     }
+
+
+#: every strategy built directly, small-parameterized, keyed by its
+#: registry name (``test_every_registered_strategy_has_cases`` keeps the
+#: keys, STRATEGIES and the registry in step)
+DIRECT = {
+    "acwn": lambda: AdaptiveCWN(radius=4, horizon=1),
+    "bidding": Bidding,
+    "central": CentralScheduler,
+    "cwn": lambda: CWN(radius=4, horizon=1),
+    "diffusion": Diffusion,
+    "gm": GradientModel,
+    "gm-batch": BatchGradient,
+    "gm-event": EventGradient,
+    "local": KeepLocal,
+    "random": RandomPlacement,
+    "randomwalk": RandomWalk,
+    "roundrobin": RoundRobin,
+    "stealing": WorkStealing,
+    "symmetric": Symmetric,
+    "threshold": ThresholdRandom,
+}
+
+
+def _direct() -> dict[str, Callable[[], Machine]]:
+    """Each strategy on ``Grid(4, 4)`` / ``Fibonacci(9)`` / seed 3."""
+    return {
+        f"direct/{name}": lambda make=make: Machine(
+            Grid(4, 4), Fibonacci(9), make(), SimConfig(seed=3)
+        )
+        for name, make in DIRECT.items()
+    }
+
+
+def _paper() -> dict[str, Callable[[], Machine]]:
+    """The paper's two schemes on both topology families and workloads,
+    the periodic machinery (sampler and load broadcast), and open systems."""
+    topologies = {"grid": lambda: Grid(4, 4), "dlm": lambda: DoubleLatticeMesh(4, 4, 4)}
+    programs = {"fib": lambda: Fibonacci(9), "dc": lambda: DivideConquer(1, 21)}
+    schemes = {"cwn": paper_cwn, "gm": paper_gm}
+    cases: dict[str, Callable[[], Machine]] = {
+        f"paper/{family}-{kind}/{scheme}": (
+            lambda topo=topo, program=program, build=build, family=family: Machine(
+                topo(), program(), build(family), SimConfig(seed=1)
+            )
+        )
+        for family, topo in topologies.items()
+        for kind, program in programs.items()
+        for scheme, build in schemes.items()
+    }
+    cases["paper/grid-fib/cwn-sampled-periodic"] = lambda: Machine(
+        Grid(4, 4),
+        Fibonacci(9),
+        paper_cwn("grid"),
+        SimConfig(seed=5, sample_interval=25.0, sample_per_pe=True, load_info="periodic"),
+    )
+    open_system = {"cwn": lambda: paper_cwn("grid"), "central": CentralScheduler}
+    for name, make in open_system.items():
+        cases[f"open-system/{name}"] = lambda make=make: Machine(
+            Grid(4, 4),
+            Fibonacci(8),
+            make(),
+            SimConfig(seed=2),
+            arrivals=Arrivals(queries=3, spacing=40.0),
+        )
+    return cases
 
 
 CASES: dict[str, Callable[[], Machine]] = {**_specs(), **_machines()}
@@ -132,6 +223,12 @@ def golden() -> dict[str, str]:
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def test_every_registered_strategy_has_cases():
+    """A newly registered strategy cannot skip the stored reference."""
+    assert STRATEGIES == REGISTERED.names()
+    assert tuple(DIRECT) == STRATEGIES
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

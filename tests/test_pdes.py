@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.oracle.config import SimConfig
-from repro.oracle.engine import use_process_kernel
 from repro.pdes import NotShardable, Partition, check_shardable, lookahead_of
 from repro.scenario import Scenario
 from repro.topology import Grid, Hypercube, Ring
@@ -121,12 +120,6 @@ class TestCheckShardable:
                       config=SimConfig(load_info=mode))
         with pytest.raises(NotShardable, match="load_info"):
             check_shardable(sc, 2)
-
-    def test_rejects_process_kernel(self):
-        sc = Scenario(workload="fib:8", topology="grid:4x4", strategy="cwn")
-        with use_process_kernel():
-            with pytest.raises(NotShardable, match="kernel"):
-                check_shardable(sc, 2)
 
     def test_rejects_unshardable_strategy(self):
         sc = Scenario(workload="fib:8", topology="grid:4x4", strategy="stealing")

@@ -31,6 +31,7 @@ from repro.experiments.plan import (
 from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.parallel import ResultCache, RunSpec
+from repro.scenario.arrivals import Arrivals
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
 
@@ -362,9 +363,7 @@ class TestGoldenQueryStream:
                 program,
                 strategy,
                 SimConfig().replace(seed=1),
-                queries=3,
-                arrival_spacing=50.0,
-                arrival_pes=arrival,
+                arrivals=Arrivals(queries=3, spacing=50.0, pes=arrival),
             ).run()
             responses = res.response_times
             reference.append(

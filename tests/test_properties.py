@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core import CWN, GradientModel
 from repro.core.base import argmin_load
 from repro.oracle.config import SimConfig
-from repro.oracle.engine import Engine, hold
+from repro.oracle.engine import Engine
 from repro.oracle.machine import Machine
 from repro.topology import DoubleLatticeMesh, Grid, Hypercube, Ring
 from repro.workload import DivideConquer, Fibonacci, RandomTree, SkewedTree
@@ -38,21 +38,6 @@ def test_events_always_fire_in_nondecreasing_time_order(delays):
     engine.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=30))
-def test_process_holds_accumulate_exactly(durations):
-    engine = Engine()
-    seen = []
-
-    def proc():
-        for d in durations:
-            yield hold(d)
-        seen.append(engine.now)
-
-    engine.process(proc())
-    engine.run()
-    assert seen[0] == pytest.approx(sum(durations))
 
 
 # ---------------------------------------------------------------------------

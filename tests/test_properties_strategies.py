@@ -29,6 +29,7 @@ from repro.core import (
 )
 from repro.oracle.config import SimConfig
 from repro.oracle.machine import Machine
+from repro.scenario.arrivals import Arrivals
 from repro.topology import DoubleLatticeMesh, Grid
 from repro.workload import Fibonacci, NQueens, SkewedTree
 
@@ -87,8 +88,7 @@ def test_multi_query_accounting(queries, spacing, seed):
         program,
         CWN(radius=3, horizon=1),
         SimConfig(seed=seed),
-        queries=queries,
-        arrival_spacing=spacing,
+        arrivals=Arrivals(queries=queries, spacing=spacing),
     )
     res = m.run()
     expected = program.expected_result()

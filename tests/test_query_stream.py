@@ -7,6 +7,7 @@ import pytest
 from repro.core import CWN, GradientModel, KeepLocal
 from repro.experiments.query_stream import render_stream, run_stream, spread_pes
 from repro.oracle.machine import Machine
+from repro.scenario.arrivals import Arrivals
 from repro.topology import Grid
 from repro.workload import DivideConquer, Fibonacci
 
@@ -14,18 +15,27 @@ from repro.workload import DivideConquer, Fibonacci
 class TestMachineQueries:
     def test_validation(self, grid4, fast_config):
         with pytest.raises(ValueError):
-            Machine(grid4, Fibonacci(5), KeepLocal(), fast_config, queries=0)
+            Machine(grid4, Fibonacci(5), KeepLocal(), fast_config, arrivals=Arrivals(queries=0))
         with pytest.raises(ValueError):
-            Machine(grid4, Fibonacci(5), KeepLocal(), fast_config, queries=2, arrival_spacing=-1)
+            Machine(
+                grid4, Fibonacci(5), KeepLocal(), fast_config,
+                arrivals=Arrivals(queries=2, spacing=-1),
+            )
         with pytest.raises(ValueError, match="entries"):
-            Machine(grid4, Fibonacci(5), KeepLocal(), fast_config, queries=2, arrival_pes=[0])
+            Machine(
+                grid4, Fibonacci(5), KeepLocal(), fast_config,
+                arrivals=Arrivals(queries=2, pes=[0]),
+            )
         with pytest.raises(ValueError, match="valid PE"):
-            Machine(grid4, Fibonacci(5), KeepLocal(), fast_config, queries=2, arrival_pes=[0, 99])
+            Machine(
+                grid4, Fibonacci(5), KeepLocal(), fast_config,
+                arrivals=Arrivals(queries=2, pes=[0, 99]),
+            )
 
     def test_all_queries_answered_correctly(self, grid4, fast_config):
         m = Machine(
             grid4, Fibonacci(9), CWN(radius=3, horizon=1), fast_config,
-            queries=3, arrival_spacing=100.0,
+            arrivals=Arrivals(queries=3, spacing=100.0),
         )
         res = m.run()
         assert res.result_value == [34, 34, 34]
@@ -40,7 +50,7 @@ class TestMachineQueries:
     def test_arrival_times_recorded(self, grid4, fast_config):
         m = Machine(
             grid4, Fibonacci(7), CWN(radius=3, horizon=1), fast_config,
-            queries=3, arrival_spacing=50.0,
+            arrivals=Arrivals(queries=3, spacing=50.0),
         )
         res = m.run()
         assert res.query_arrivals == [0.0, 50.0, 100.0]
@@ -48,7 +58,7 @@ class TestMachineQueries:
     def test_response_times_positive_and_consistent(self, grid4, fast_config):
         m = Machine(
             grid4, Fibonacci(9), CWN(radius=3, horizon=1), fast_config,
-            queries=4, arrival_spacing=75.0, arrival_pes=[0, 5, 10, 15],
+            arrivals=Arrivals(queries=4, spacing=75.0, pes=[0, 5, 10, 15]),
         )
         res = m.run()
         assert all(rt > 0 for rt in res.response_times)
@@ -58,7 +68,7 @@ class TestMachineQueries:
         program = Fibonacci(9)
         m = Machine(
             grid4, program, CWN(radius=3, horizon=1), fast_config,
-            queries=3, arrival_spacing=10.0,
+            arrivals=Arrivals(queries=3, spacing=10.0),
         )
         res = m.run()
         assert res.total_goals == 3 * program.total_goals()
@@ -68,7 +78,7 @@ class TestMachineQueries:
         program = DivideConquer(1, 34)
         m = Machine(
             grid4, program, CWN(radius=3, horizon=1), fast_config,
-            queries=2, arrival_spacing=0.0,
+            arrivals=Arrivals(queries=2, spacing=0.0),
         )
         res = m.run()
         assert res.busy_time.sum() == pytest.approx(
@@ -83,14 +93,14 @@ class TestMachineQueries:
         ).run()
         stream = Machine(
             Grid(5, 5), Fibonacci(11), CWN(radius=4, horizon=1), fast_config,
-            queries=4, arrival_spacing=0.0, arrival_pes=[0, 6, 12, 18],
+            arrivals=Arrivals(queries=4, spacing=0.0, pes=[0, 6, 12, 18]),
         ).run()
         assert stream.utilization > single.utilization
 
     def test_gm_handles_streams(self, grid4, fast_config):
         m = Machine(
             grid4, Fibonacci(9), GradientModel(), fast_config,
-            queries=3, arrival_spacing=120.0,
+            arrivals=Arrivals(queries=3, spacing=120.0),
         )
         res = m.run()
         assert res.result_value == [34, 34, 34]

@@ -23,7 +23,7 @@ import pytest
 
 from repro.oracle.channel import Channel
 from repro.oracle.config import CostModel
-from repro.oracle.engine import Engine, hold
+from repro.oracle.engine import Engine
 from repro.oracle.message import Message
 
 
@@ -45,17 +45,18 @@ def drive_md1(rho: float, n_messages: int = 4000, seed: int = 1):
     # Channel starts service immediately when idle, so wait-in-queue is
     # (service start - submission).  Service start of message k is its
     # delivery time minus S.  Index messages explicitly — ids of
-    # garbage-collected messages get reused.
-    def generator():
-        for k in range(n_messages):
-            yield hold(rng.expovariate(lam))
-            submit_times.append(engine.now)
-            channel.send(
-                Message(0, 1, size_words=1),
-                lambda _m, k=k: start_times.__setitem__(k, engine.now - service),
-            )
+    # garbage-collected messages get reused.  The source is a chain of
+    # arrival events, each drawing the gap to the next.
+    def arrive(k):
+        submit_times.append(engine.now)
+        channel.send(
+            Message(0, 1, size_words=1),
+            lambda _m, k=k: start_times.__setitem__(k, engine.now - service),
+        )
+        if k + 1 < n_messages:
+            engine.schedule(rng.expovariate(lam), arrive, k + 1)
 
-    engine.process(generator(), name="source")
+    engine.schedule(rng.expovariate(lam), arrive, 0)
     engine.run()
 
     waits = [start_times[k] - submit_times[k] for k in range(n_messages)]
@@ -96,12 +97,12 @@ def test_channel_never_idles_with_backlog():
     n = 200
     delivered = []
 
-    def generator():
-        for _ in range(n):
-            yield hold(0.5)
-            channel.send(Message(0, 1, size_words=3), delivered.append)
+    def arrive(k):
+        channel.send(Message(0, 1, size_words=3), delivered.append)
+        if k + 1 < n:
+            engine.schedule(0.5, arrive, k + 1)
 
-    engine.process(generator(), name="burst")
+    engine.schedule(0.5, arrive, 0)
     engine.run()
     assert len(delivered) == n
     assert channel.busy_time == pytest.approx(n * costs.transfer_time(3))
@@ -115,13 +116,10 @@ def test_deterministic_service_order_is_fifo():
     channel = Channel(engine, 0, (0, 1), costs)
     order = []
 
-    def generator():
+    def flood(_payload):
         for i in range(50):
-            msg = Message(0, 1, size_words=1)
-            msg_index = i
-            channel.send(msg, lambda m, k=msg_index: order.append(k))
-        yield hold(0.0)
+            channel.send(Message(0, 1, size_words=1), lambda m, k=i: order.append(k))
 
-    engine.process(generator(), name="flood")
+    engine.schedule(0.0, flood)
     engine.run()
     assert order == list(range(50))

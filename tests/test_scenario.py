@@ -261,22 +261,26 @@ class TestArrivals:
         assert Arrivals(2, 99.0).canonical() == Arrivals(2, 99.0)
 
     def test_machine_accepts_arrivals_value(self, grid4, fast_config):
-        legacy = Machine(grid4, Fibonacci(9), CWN(radius=3, horizon=1),
-                         fast_config, queries=2, arrival_spacing=50.0)
+        legacy = Scenario.of(Fibonacci(9), grid4, CWN(radius=3, horizon=1),
+                             fast_config, queries=2, arrival_spacing=50.0).build()
         bundled = Machine(Grid(4, 4), Fibonacci(9), CWN(radius=3, horizon=1),
                           fast_config, arrivals=Arrivals(2, 50.0))
         assert legacy.arrivals == bundled.arrivals
         assert_results_equal(legacy.run(), bundled.run())
 
     def test_machine_rejects_both_spellings(self, grid4, fast_config):
-        with pytest.raises(ValueError, match="not both"):
+        """Machine takes ``arrivals=`` only; Scenario.of takes either."""
+        with pytest.raises(TypeError, match="queries"):
             Machine(grid4, Fibonacci(9), CWN(radius=3, horizon=1), fast_config,
                     queries=2, arrivals=Arrivals(2, 50.0))
+        with pytest.raises(ValueError, match="not both"):
+            Scenario.of(Fibonacci(9), grid4, CWN(radius=3, horizon=1), fast_config,
+                        queries=2, arrivals=Arrivals(2, 50.0))
 
     def test_machine_still_checks_pe_range(self, grid4, fast_config):
         with pytest.raises(ValueError, match="valid PE"):
             Machine(grid4, Fibonacci(9), CWN(radius=3, horizon=1), fast_config,
-                    queries=2, arrival_pes=[0, 99])
+                    arrivals=Arrivals(2, pes=[0, 99]))
 
     def test_dict_round_trip(self):
         a = Arrivals(3, 0.0, (0, 1, 2), None)

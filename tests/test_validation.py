@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import make_strategy
 from repro.oracle.config import CostModel, SimConfig
 from repro.oracle.machine import Machine
+from repro.scenario.arrivals import Arrivals
 from repro.topology import DoubleLatticeMesh, Grid, Hypercube
 from repro.validation import (
     InvariantViolation,
@@ -132,8 +133,7 @@ def test_invariants_with_queries():
         Fibonacci(9),
         make_strategy("gm"),
         SimConfig(seed=3),
-        queries=3,
-        arrival_spacing=100.0,
+        arrivals=Arrivals(queries=3, spacing=100.0),
     )
     result = machine.run()
     validate_result(result, machine)
