@@ -10,9 +10,9 @@ machine — the regime the saturation argument targets.
 from __future__ import annotations
 
 from repro.core import CWN, AdaptiveCWN
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -49,7 +49,7 @@ def test_ablation_acwn_components(benchmark, save_artifact):
     def run_all():
         rows = []
         for name, build in VARIANTS:
-            res = simulate(Fibonacci(fib_n), topo, build(), seed=1)
+            res = Scenario(Fibonacci(fib_n), topo, build(), seed=1).run()
             rows.append(
                 (
                     name,

@@ -9,10 +9,10 @@ much edge CWN loses as communication gets expensive.
 from __future__ import annotations
 
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
 from repro.oracle.config import CostModel, SimConfig
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -28,8 +28,8 @@ def test_comm_ratio_sensitivity(benchmark, save_artifact):
         for ratio in RATIOS:
             costs = CostModel().with_comm_ratio(ratio)
             cfg = SimConfig(costs=costs, seed=1)
-            cwn = simulate(Fibonacci(fib_n), topo, paper_cwn("grid"), config=cfg)
-            gm = simulate(Fibonacci(fib_n), topo, paper_gm("grid"), config=cfg)
+            cwn = Scenario(Fibonacci(fib_n), topo, paper_cwn("grid"), config=cfg).run()
+            gm = Scenario(Fibonacci(fib_n), topo, paper_gm("grid"), config=cfg).run()
             rows.append((ratio, cwn.speedup, gm.speedup, cwn.speedup / gm.speedup))
         return rows
 

@@ -20,9 +20,9 @@ Expected shape (asserted):
 from __future__ import annotations
 
 from repro.core import CWN, EventGradient, GradientModel
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -36,17 +36,17 @@ def test_gm_interval_sensitivity(benchmark, save_artifact):
 
     def sweep():
         rows = []
-        ev = simulate(program, topo, EventGradient(low_water_mark=1, high_water_mark=2), seed=1)
+        ev = Scenario(program, topo, EventGradient(low_water_mark=1, high_water_mark=2), seed=1).run()
         rows.append(("event (interval -> 0)", ev.completion_time, ev.utilization_percent))
         for interval in INTERVALS:
-            res = simulate(
+            res = Scenario(
                 program,
                 topo,
                 GradientModel(low_water_mark=1, high_water_mark=2, interval=interval),
                 seed=1,
-            )
+            ).run()
             rows.append((f"interval {interval:g}", res.completion_time, res.utilization_percent))
-        cwn = simulate(program, topo, CWN(radius=9, horizon=2), seed=1)
+        cwn = Scenario(program, topo, CWN(radius=9, horizon=2), seed=1).run()
         rows.append(("CWN (reference)", cwn.completion_time, cwn.utilization_percent))
         return rows
 

@@ -17,10 +17,10 @@ exceeds the capacity bound (a physics check on the simulator itself).
 from __future__ import annotations
 
 from repro.core import RoundRobin, paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import paper_grid
 from repro.workload import Fibonacci
 
@@ -40,13 +40,13 @@ def test_heterogeneous_machine(benchmark, save_artifact):
     def run_all():
         rows = []
         for name, build in strategies:
-            homo = simulate(Fibonacci(fib_n), topo, build(), config=SimConfig(seed=1))
-            hetero = simulate(
+            homo = Scenario(Fibonacci(fib_n), topo, build(), config=SimConfig(seed=1)).run()
+            hetero = Scenario(
                 Fibonacci(fib_n),
                 topo,
                 build(),
                 config=SimConfig(seed=1, pe_speeds=mixed),
-            )
+            ).run()
             rows.append(
                 (name, homo.speedup, hetero.speedup, hetero.speedup / capacity)
             )

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from repro.analysis import paired_summary
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import (
     BinomialCoefficient,
@@ -51,8 +51,8 @@ def test_irregular_workloads(benchmark, save_artifact):
     def sweep():
         rows = []
         for program in _workloads(full):
-            cwn = simulate(program, topo, paper_cwn("grid"), seed=1)
-            gm = simulate(program, topo, paper_gm("grid"), seed=1)
+            cwn = Scenario(program, topo, paper_cwn("grid"), seed=1).run()
+            gm = Scenario(program, topo, paper_gm("grid"), seed=1).run()
             label = getattr(program, "label", program.name)
             rows.append((label, cwn.total_goals, cwn.speedup, gm.speedup))
         return rows

@@ -27,10 +27,10 @@ control-word traffic, and CWN beats GM under every information model.
 from __future__ import annotations
 
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -46,8 +46,8 @@ def test_load_information_models(benchmark, save_artifact):
         rows = []
         for mode in MODES:
             cfg = SimConfig(load_info=mode, seed=1)
-            cwn = simulate(program, topo, paper_cwn("grid"), config=cfg)
-            gm = simulate(program, topo, paper_gm("grid"), config=cfg)
+            cwn = Scenario(program, topo, paper_cwn("grid"), config=cfg).run()
+            gm = Scenario(program, topo, paper_gm("grid"), config=cfg).run()
             rows.append(
                 (
                     mode,

@@ -16,9 +16,9 @@ scale with the network diameter.
 from __future__ import annotations
 
 from repro.core import RandomPlacement, paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import paper_grid
 from repro.workload import Fibonacci
 
@@ -34,7 +34,7 @@ def test_response_locality(benchmark, save_artifact):
             ("gm", paper_gm("grid")),
             ("random (global)", RandomPlacement()),
         ):
-            res = simulate(Fibonacci(fib_n), topo, strategy, seed=1)
+            res = Scenario(Fibonacci(fib_n), topo, strategy, seed=1).run()
             rows.append(
                 (
                     name,

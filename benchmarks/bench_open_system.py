@@ -51,7 +51,7 @@ def test_open_system_poisson(benchmark, save_artifact):
     def sweep():
         rows = []
         rng = random.Random(99)
-        arrival_pes = [rng.randrange(topo.n) for _ in range(n_queries)]
+        pes = [rng.randrange(topo.n) for _ in range(n_queries)]
         for gap in gaps:
             times = _poisson_times(n_queries, gap, seed=3)
             for spec in STRATEGIES:
@@ -60,7 +60,7 @@ def test_open_system_poisson(benchmark, save_artifact):
                     Fibonacci(fib_n),
                     make_strategy(spec, family="grid"),
                     SimConfig(seed=1),
-                    arrivals=Arrivals(queries=n_queries, pes=arrival_pes, times=times),
+                    arrivals=Arrivals(queries=n_queries, pes=pes, times=times),
                 )
                 res = machine.run()
                 rts = res.response_times

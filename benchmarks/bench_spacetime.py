@@ -16,10 +16,10 @@ idle deep into the run.
 from __future__ import annotations
 
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.svg import svg_spacetime
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import paper_grid
 from repro.workload import Fibonacci
 
@@ -31,10 +31,10 @@ def test_spacetime_heatmaps(benchmark, save_artifact, artifact_dir):
     def run_both():
         out = {}
         for name, build in (("cwn", paper_cwn), ("gm", paper_gm)):
-            pilot = simulate(Fibonacci(fib_n), topo, build("grid"), seed=1)
+            pilot = Scenario(Fibonacci(fib_n), topo, build("grid"), seed=1).run()
             interval = max(pilot.completion_time / 60, 1.0)
             cfg = SimConfig(seed=1, sample_interval=interval, sample_per_pe=True)
-            out[name] = simulate(Fibonacci(fib_n), topo, build("grid"), config=cfg)
+            out[name] = Scenario(Fibonacci(fib_n), topo, build("grid"), config=cfg).run()
         return out
 
     results = benchmark.pedantic(run_both, rounds=1, iterations=1)

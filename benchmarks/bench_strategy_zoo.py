@@ -22,9 +22,9 @@ from repro.core import (
     ThresholdRandom,
     WorkStealing,
 )
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -48,7 +48,7 @@ def test_strategy_zoo(benchmark, save_artifact):
     def run_zoo():
         rows = []
         for name, build in ZOO:
-            res = simulate(Fibonacci(fib_n), topo, build(), seed=1)
+            res = Scenario(Fibonacci(fib_n), topo, build(), seed=1).run()
             rows.append(
                 (
                     name,

@@ -19,9 +19,9 @@ exceeds the DLM ratio as in the paper's Table 2.
 from __future__ import annotations
 
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import (
     ChordalRing,
     Complete,
@@ -74,8 +74,8 @@ def test_topology_diameter_conjecture(benchmark, save_artifact):
         rows = []
         for name, topo in _networks():
             fam = _family(topo)
-            cwn = simulate(program, topo, paper_cwn(fam), seed=1)
-            gm = simulate(program, topo, paper_gm(fam), seed=1)
+            cwn = Scenario(program, topo, paper_cwn(fam), seed=1).run()
+            gm = Scenario(program, topo, paper_gm(fam), seed=1).run()
             rows.append((name, topo.diameter, cwn.speedup / gm.speedup))
         return rows
 

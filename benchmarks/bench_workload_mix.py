@@ -11,9 +11,9 @@ blend — with the bonus accounting check that every sub-result is exact.
 from __future__ import annotations
 
 from repro.core import paper_cwn, paper_gm
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
+from repro.scenario import Scenario
 from repro.topology import paper_grid
 from repro.workload import DivideConquer, Fibonacci, NQueens, ParallelMix
 
@@ -29,7 +29,7 @@ def test_mixed_workload(benchmark, save_artifact):
     def run_both():
         rows = []
         for name, strategy in (("cwn", paper_cwn("grid")), ("gm", paper_gm("grid"))):
-            res = simulate(mix, topo, strategy, seed=1)
+            res = Scenario(mix, topo, strategy, seed=1).run()
             assert res.result_value == expected, res.result_value
             rows.append(
                 (name, res.completion_time, res.utilization_percent, res.speedup)

@@ -21,10 +21,10 @@ Assertions pin the structural findings:
 from __future__ import annotations
 
 from repro.core import make_strategy
-from repro.experiments.runner import simulate
 from repro.experiments.scale import full_scale
 from repro.experiments.tables import format_table
 from repro.oracle.config import CostModel
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.validation import completion_bounds
 from repro.workload import Fibonacci
@@ -45,7 +45,7 @@ def test_zoo_extended(benchmark, save_artifact):
     def run_zoo():
         rows = {}
         for spec in SPECS:
-            res = simulate(program, topo, make_strategy(spec, family="grid"), seed=1)
+            res = Scenario(program, topo, make_strategy(spec, family="grid"), seed=1).run()
             rows[spec] = (
                 res.completion_time,
                 bounds.quality(res.completion_time),

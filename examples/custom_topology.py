@@ -10,7 +10,7 @@ carries as the chord length changes the diameter.
 Run:  python examples/custom_topology.py
 """
 
-from repro import simulate
+from repro import Scenario
 from repro.core import paper_cwn, paper_gm
 from repro.topology import Topology
 
@@ -57,8 +57,8 @@ def main() -> None:
     print(f"{'topology':>26s}  diam  CWN speedup  GM speedup  ratio")
     for chord in (1, 4, 8, 16):
         topo = ChordalRing(32, chord)
-        cwn = simulate(workload, topo, paper_cwn("grid"), seed=1)
-        gm = simulate(workload, topo, paper_gm("grid"), seed=1)
+        cwn = Scenario(workload, topo, paper_cwn("grid"), seed=1).run()
+        gm = Scenario(workload, topo, paper_gm("grid"), seed=1).run()
         print(
             f"{topo.name:>26s}  {topo.diameter:4d}  {cwn.speedup:11.2f}"
             f"  {gm.speedup:10.2f}  {cwn.speedup / gm.speedup:5.2f}"

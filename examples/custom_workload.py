@@ -14,7 +14,7 @@ in the payload!) and ``combine``.
 Run:  python examples/custom_workload.py
 """
 
-from repro import simulate
+from repro import Scenario
 from repro.core import paper_cwn, paper_gm
 from repro.workload import CyclicTree, RandomTree
 from repro.workload.base import Leaf, Program, Split
@@ -55,8 +55,8 @@ class PrunedSearch(Program):
 
 
 def compare(workload, label: str) -> None:
-    cwn = simulate(workload, "grid:8x8", paper_cwn("grid"), seed=1)
-    gm = simulate(workload, "grid:8x8", paper_gm("grid"), seed=1)
+    cwn = Scenario(workload, "grid:8x8", paper_cwn("grid"), seed=1).run()
+    gm = Scenario(workload, "grid:8x8", paper_gm("grid"), seed=1).run()
     print(
         f"{label:<24s} goals={cwn.total_goals:6d}  CWN {cwn.utilization_percent:5.1f}%"
         f"  GM {gm.utilization_percent:5.1f}%  ratio {cwn.speedup / gm.speedup:5.2f}"

@@ -25,9 +25,9 @@ Run:  python examples/extended_tail.py
 """
 
 from repro.core import AdaptiveCWN, paper_cwn
-from repro.experiments.runner import simulate
 from repro.experiments.timeseries import rise_time, tail_length
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import paper_dlm
 
 FIB_N = 13  # the paper used fib(18); 13 keeps this example snappy
@@ -35,10 +35,10 @@ TOPO = paper_dlm(100)
 
 
 def measure(strategy, label):
-    pilot = simulate(f"fib:{FIB_N}", TOPO, strategy, seed=1)
+    pilot = Scenario(f"fib:{FIB_N}", TOPO, strategy, seed=1).run()
     interval = max(pilot.completion_time / 80, 1.0)
     cfg = SimConfig(seed=1, sample_interval=interval)
-    res = simulate(f"fib:{FIB_N}", TOPO, strategy, config=cfg)
+    res = Scenario(f"fib:{FIB_N}", TOPO, strategy, config=cfg).run()
     trace = [(s.time, 100.0 * s.utilization) for s in res.samples]
     rise = rise_time(trace, level=50.0)
     tail = tail_length(trace, res.completion_time, level=20.0)

@@ -11,7 +11,7 @@ work evenly and stalls on the slow PEs.
 Run:  python examples/heterogeneous_machine.py
 """
 
-from repro import SimConfig, simulate
+from repro import Scenario, SimConfig
 from repro.core import RoundRobin, paper_cwn, paper_gm
 from repro.topology import Grid
 from repro.workload import NQueens
@@ -33,7 +33,7 @@ def main() -> None:
         ("roundrobin", RoundRobin()),
     ):
         cfg = SimConfig(seed=1, pe_speeds=SPEEDS)
-        res = simulate(workload, TOPOLOGY, strategy, config=cfg)
+        res = Scenario(workload, TOPOLOGY, strategy, config=cfg).run()
         assert res.result_value == 92  # queens(8) has 92 solutions
         fast_share = res.goals_per_pe[::2].sum() / res.total_goals
         print(

@@ -11,7 +11,7 @@ the paper found on predictable trees persists on hostile ones.
 Run:  python examples/irregular_workloads.py
 """
 
-from repro import simulate
+from repro import Scenario
 from repro.workload import QuicksortTree, UnbalancedTreeSearch
 
 TOPOLOGY = "grid:8x8"
@@ -27,7 +27,7 @@ def main() -> None:
         print(f"\n{program.label} — {program.total_goals()} goals on {TOPOLOGY}")
         print(f"  {'strategy':12s} {'speedup':>8s} {'util %':>7s} {'mean hops':>9s}")
         for spec in STRATEGIES:
-            res = simulate(program, TOPOLOGY, spec, seed=1)
+            res = Scenario(program, TOPOLOGY, spec, seed=1).run()
             print(
                 f"  {spec:12s} {res.speedup:8.1f} {res.utilization_percent:7.1f} "
                 f"{res.mean_goal_distance:9.2f}"

@@ -18,7 +18,7 @@ Run:  python examples/live_monitor.py           # plain characters
 
 import sys
 
-from repro import SimConfig, simulate
+from repro import Scenario, SimConfig
 from repro.oracle.monitor import render_film
 
 WORKLOAD = "fib:13"
@@ -27,10 +27,10 @@ FRAMES = 8
 
 
 def film(strategy: str, color: bool) -> str:
-    pilot = simulate(WORKLOAD, TOPOLOGY, strategy, seed=1)
+    pilot = Scenario(WORKLOAD, TOPOLOGY, strategy, seed=1).run()
     interval = max(pilot.completion_time / FRAMES, 1.0)
     cfg = SimConfig(seed=1, sample_interval=interval, sample_per_pe=True)
-    result = simulate(WORKLOAD, TOPOLOGY, strategy, config=cfg)
+    result = Scenario(WORKLOAD, TOPOLOGY, strategy, config=cfg).run()
     header = result.summary()
     return header + "\n" + render_film(result, cols=8, color=color)
 

@@ -8,7 +8,7 @@ prints the comparison the whole paper is about.
 Run:  python examples/quickstart.py
 """
 
-from repro import simulate
+from repro import Scenario
 
 WORKLOAD = "fib:15"      # 1,973 goals — one of the paper's six sizes
 TOPOLOGY = "grid:10x10"  # 100 PEs, wrap-around (a torus)
@@ -19,8 +19,8 @@ def main() -> None:
 
     # Bare strategy names pick up the paper's Table 1 parameters for the
     # topology family (radius 9 / horizon 2 on grids, etc.).
-    cwn = simulate(WORKLOAD, TOPOLOGY, "cwn", seed=1)
-    gm = simulate(WORKLOAD, TOPOLOGY, "gm", seed=1)
+    cwn = Scenario(WORKLOAD, TOPOLOGY, "cwn", seed=1).run()
+    gm = Scenario(WORKLOAD, TOPOLOGY, "gm", seed=1).run()
 
     print(cwn.summary())
     print(gm.summary())

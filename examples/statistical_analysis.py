@@ -11,7 +11,7 @@ ratio, and a Markdown report block ready for EXPERIMENTS.md.
 Run:  python examples/statistical_analysis.py
 """
 
-from repro import simulate
+from repro import Scenario
 from repro.analysis import (
     bootstrap_ci,
     paired_summary,
@@ -29,8 +29,8 @@ def main() -> None:
     print("cell-by-cell speedup ratios (CWN / GM):")
     for workload in WORKLOADS:
         for topology in TOPOLOGIES:
-            cwn = simulate(workload, topology, "cwn", seed=1)
-            gm = simulate(workload, topology, "gm", seed=1)
+            cwn = Scenario(workload, topology, "cwn", seed=1).run()
+            gm = Scenario(workload, topology, "gm", seed=1).run()
             ratio = cwn.speedup / gm.speedup
             ratios.append(ratio)
             print(f"  {workload:10s} on {topology:10s}: {ratio:.2f}")

@@ -17,7 +17,7 @@ Run:  python examples/trace_replay.py
 
 import time
 
-from repro import simulate
+from repro import Scenario
 from repro.workload import Fibonacci, RecordedProgram, record
 
 
@@ -35,10 +35,10 @@ def main() -> None:
     print(f"{'strategy':>10s}  {'live T':>9s}  {'replay T':>9s}  identical?")
     for strategy in ("cwn", "gm", "random"):
         live, live_secs = timed(
-            lambda s=strategy: simulate(program, "grid:8x8", s, seed=1)
+            lambda s=strategy: Scenario(program, "grid:8x8", s, seed=1).run()
         )
         replay, replay_secs = timed(
-            lambda s=strategy: simulate(recording, "grid:8x8", s, seed=1)
+            lambda s=strategy: Scenario(recording, "grid:8x8", s, seed=1).run()
         )
         same = (
             replay.completion_time == live.completion_time
@@ -53,8 +53,8 @@ def main() -> None:
     # Serialize, reload, perturb.
     reloaded = RecordedProgram.from_json(recording.to_json())
     heavy = reloaded.scale_work(2.0)
-    base = simulate(reloaded, "grid:8x8", "cwn", seed=1)
-    doubled = simulate(heavy, "grid:8x8", "cwn", seed=1)
+    base = Scenario(reloaded, "grid:8x8", "cwn", seed=1).run()
+    doubled = Scenario(heavy, "grid:8x8", "cwn", seed=1).run()
     print()
     print(f"JSON round-trip goals : {reloaded.total_goals()}")
     print(f"2x work completion    : {doubled.completion_time:.0f} (base {base.completion_time:.0f})")

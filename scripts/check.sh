@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 echo "== compileall (src, tests, benchmarks) =="
 python -m compileall -q src tests benchmarks
 
+echo "== import every benchmark module (pytest --collect-only) =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks/bench_*.py --collect-only -q
+
 echo "== repro lint =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro lint
 

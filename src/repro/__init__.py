@@ -11,9 +11,10 @@ every table and figure of the evaluation (:mod:`repro.experiments`).
 
 Quickstart::
 
-    from repro import Scenario, simulate
-    result = simulate("fib:15", "grid:10x10", "cwn")
+    from repro import CWN, Fibonacci, Grid, Scenario
+    result = Scenario("fib:15", "grid:10x10", "cwn").run()
     result = Scenario.from_spec("fib:15 @ grid:10x10 / cwn").run()  # same run
+    result = Scenario(Fibonacci(15), Grid(10, 10), CWN(radius=9, horizon=2)).run()  # same
     print(result.summary())
 
 Every run description is a :class:`~repro.scenario.Scenario` (see
@@ -42,7 +43,6 @@ from .core import (
     ThresholdRandom,
     WorkStealing,
 )
-from .experiments.runner import simulate
 from .oracle import CostModel, Machine, SimConfig, SimResult
 from .scenario import Arrivals, Scenario
 from .topology import (
@@ -114,7 +114,6 @@ __all__ = [
     "experiments",
     "oracle",
     "scenario",
-    "simulate",
     "topology",
     "validate_result",
     "validation",

@@ -496,26 +496,6 @@ def _farmed(args: argparse.Namespace):
         print(f"[farm] {hits} cache hits, {simulated} simulated", file=sys.stderr)
 
 
-def _plan_one(
-    workload: str,
-    topology: str,
-    strategy: str,
-    jobs: "int | None",
-    cache: object,
-    config: object = None,
-    seed: "int | None" = None,
-):
-    """Run one CLI-described simulation through the plan engine."""
-    from .experiments.plan import ExperimentPlan, execute, planned_run
-
-    plan = ExperimentPlan(
-        "run",
-        (planned_run(workload, topology, strategy, config=config, seed=seed),),
-        lambda results, _meta: results[0],
-    )
-    return execute(plan, jobs=jobs, cache=cache)
-
-
 def _scenario_from_args(args: argparse.Namespace):
     """The ``run`` command's positionals as one Scenario.
 
@@ -532,7 +512,7 @@ def _scenario_from_args(args: argparse.Namespace):
     if len(parts) == 1:
         scenario = Scenario.from_spec(parts[0])
     elif len(parts) == 3:
-        scenario = Scenario.of(parts[0], parts[1], parts[2])
+        scenario = Scenario(parts[0], parts[1], parts[2])
     else:
         print(
             "repro: error: run takes one scenario spec "
@@ -761,7 +741,7 @@ def _cmd_zoo(args: argparse.Namespace) -> None:
     plan = ExperimentPlan.from_scenarios(
         "zoo",
         tuple(
-            Scenario.of(f"fib:{fib_n}", "grid:8x8", spec, seed=args.seed)
+            Scenario(f"fib:{fib_n}", "grid:8x8", spec, seed=args.seed)
             for spec in strategy_specs
         ),
         lambda results, _meta: list(results),
@@ -773,10 +753,10 @@ def _cmd_zoo(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
-    from .experiments.runner import build_machine
+    from .scenario import Scenario
     from .validation import completion_bounds
 
-    machine = build_machine(args.workload, args.topology, args.strategy or "local")
+    machine = Scenario(args.workload, args.topology, args.strategy or "local").build()
     bounds = completion_bounds(machine.program, machine.config.costs, machine.topology.n)
     print(f"{args.workload} on {machine.topology.name}:")
     print(f"  total work T1                : {bounds.work:,.0f}")
@@ -786,8 +766,10 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
     print(f"  best possible speedup        : {bounds.max_speedup:.1f}")
     if args.strategy:
         with _farmed(args) as (jobs, cache):
-            res = _plan_one(
-                args.workload, args.topology, args.strategy, jobs, cache, seed=args.seed
+            res = _plan_scenario(
+                Scenario(args.workload, args.topology, args.strategy, seed=args.seed),
+                jobs,
+                cache,
             )
         print(f"\n{res.summary()}")
         print(f"  x lower bound  : {res.completion_time / bounds.lower:.2f}")
@@ -795,18 +777,18 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> None:
-    from .experiments.runner import build_machine
     from .oracle.config import SimConfig
     from .oracle.monitor import render_film
+    from .scenario import Scenario
 
+    pilot = Scenario(args.workload, args.topology, args.strategy, seed=args.seed)
     with _farmed(args) as (jobs, cache):
-        pilot = _plan_one(
-            args.workload, args.topology, args.strategy, jobs, cache, seed=args.seed
-        )
-        interval = max(pilot.completion_time / args.frames, 1.0)
+        interval = max(_plan_scenario(pilot, jobs, cache).completion_time / args.frames, 1.0)
         cfg = SimConfig(sample_interval=interval, sample_per_pe=True, seed=args.seed)
-        res = _plan_one(args.workload, args.topology, args.strategy, jobs, cache, config=cfg)
-    cols = getattr(build_machine(args.workload, args.topology, "local").topology, "cols", None)
+        res = _plan_scenario(
+            Scenario(args.workload, args.topology, args.strategy, cfg), jobs, cache
+        )
+    cols = getattr(pilot.resolve_topology(), "cols", None)
     print(res.summary())
     print(render_film(res, cols=cols, color=args.color))
 

@@ -40,7 +40,6 @@ __all__ = [
     "EventGradient",
     "GradientModel",
     "KeepLocal",
-    "PAPER_PARAMS",
     "RandomPlacement",
     "RandomWalk",
     "RoundRobin",
@@ -81,12 +80,6 @@ _TABLE1_GM: dict[str, dict[str, float]] = {
     "grid": {"high_water_mark": 2, "low_water_mark": 1, "interval": 20.0},
     "dlm": {"high_water_mark": 1, "low_water_mark": 1, "interval": 20.0},
     "hypercube": {"high_water_mark": 2, "low_water_mark": 1, "interval": 20.0},
-}
-
-#: Back-compat view of the same data, keyed family-first.
-PAPER_PARAMS: dict[str, dict[str, dict[str, float]]] = {
-    family: {"cwn": _TABLE1_CWN[family], "gm": _TABLE1_GM[family]}
-    for family in _TABLE1_CWN
 }
 
 

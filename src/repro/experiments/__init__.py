@@ -28,12 +28,10 @@ from .plan import (
     collect_reports,
     execute,
     merge_plans,
-    planned_run,
 )
 from .plots import ascii_plot
 from .query_stream import render_stream, run_stream
 from .replication import Replication, replicate_metric, replicate_pair
-from .runner import build_machine, simulate
 from .scaling import render_scaling, run_scaling
 from .sweep import PairedSweep, SweepPoint, SweepResult
 from .tables import format_kv, format_table
@@ -49,7 +47,6 @@ __all__ = [
     "SweepResult",
     "Replication",
     "ascii_plot",
-    "build_machine",
     "collect_reports",
     "comparison_plan",
     "execute",
@@ -57,7 +54,6 @@ __all__ = [
     "format_table",
     "large_machine_plan",
     "merge_plans",
-    "planned_run",
     "render_curve",
     "render_grainsize",
     "render_large_machines",
@@ -81,7 +77,6 @@ __all__ = [
     "run_scaling",
     "run_timeseries",
     "scale",
-    "simulate",
     "summarize_claims",
     "tail_length",
 ]

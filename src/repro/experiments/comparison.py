@@ -25,10 +25,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = [
@@ -107,12 +108,12 @@ def comparison_plan(
         for n_pes in pe_counts or scale.pe_counts(full)
         for program in _workloads(kind, full, fib_sizes, dc_sizes)
     ]
-    runs = []
+    scenarios = []
     meta: list[Any] = []
     for family, n_pes, program in grid:
         topo = _topology(family, n_pes)
         for strategy in (paper_cwn(family), paper_gm(family)):
-            runs.append(planned_run(program, topo, strategy, config=config, seed=seed))
+            scenarios.append(Scenario(program, topo, strategy, config, seed=seed))
             meta.append((family, n_pes))
 
     def _reduce(
@@ -123,7 +124,7 @@ def comparison_plan(
             for cwn_res, gm_res, (family, n_pes) in paired(results, labels)
         ]
 
-    return ExperimentPlan("table2", tuple(runs), _reduce, tuple(meta))
+    return ExperimentPlan.from_scenarios("table2", scenarios, _reduce, meta)
 
 
 def run_comparison(

@@ -23,9 +23,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import CostModel, SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = ["GrainPoint", "grainsize_plan", "render_grainsize", "run_grainsize"]
@@ -71,14 +72,14 @@ def grainsize_plan(
     topology = topology or paper_grid(64)
     family = topology.family
     base = CostModel()
-    runs = []
+    scenarios = []
     meta: list[Any] = []
     for grain in grains:
         costs = scaled_costs(base, grain)
         cfg = SimConfig(costs=costs, seed=seed)
         comm_per_goal = costs.transfer_time(4) / (costs.leaf_work or 1.0)
         for strategy in (paper_cwn(family), paper_gm(family)):
-            runs.append(planned_run(program, topology, strategy, config=cfg))
+            scenarios.append(Scenario(program, topology, strategy, cfg))
             meta.append((grain, comm_per_goal))
 
     def _reduce(
@@ -89,7 +90,7 @@ def grainsize_plan(
             for cwn, gm, (grain, comm_per_goal) in paired(results, labels)
         ]
 
-    return ExperimentPlan("grainsize", tuple(runs), _reduce, tuple(meta))
+    return ExperimentPlan.from_scenarios("grainsize", scenarios, _reduce, meta)
 
 
 def run_grainsize(

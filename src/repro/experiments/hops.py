@@ -17,9 +17,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["HopStudy", "hop_plan", "render_table3", "run_hop_study"]
@@ -51,18 +52,21 @@ def hop_plan(
 ) -> ExperimentPlan:
     """Table 3 as a plan: one CWN/GM pair with hop tracing on."""
     topology = topology or paper_grid(100)
+    config = config or SimConfig()
     program: Program = Fibonacci(fib_n)
     family = topology.family
-    runs = tuple(
-        planned_run(program, topology, strategy, config=config, seed=seed)
+    scenarios = [
+        Scenario(program, topology, strategy, config, seed=seed)
         for strategy in (paper_cwn(family), paper_gm(family))
-    )
+    ]
 
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> HopStudy:
         cwn_res, gm_res = results
         return HopStudy(cwn_res.workload, labels[0], cwn_res, gm_res)
 
-    return ExperimentPlan("table3", runs, _reduce, (topology.name, topology.name))
+    return ExperimentPlan.from_scenarios(
+        "table3", scenarios, _reduce, (topology.name, topology.name)
+    )
 
 
 def run_hop_study(

@@ -24,10 +24,11 @@ from typing import Any, Sequence
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import make as make_topology
 from ..workload import Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = [
@@ -104,14 +105,15 @@ def large_machine_plan(
     if program is None:
         program = Fibonacci(18 if full else 15)
     sizes = _FULL_SIZES if full else _REDUCED_SIZES
-    runs = []
+    config = config or SimConfig()
+    scenarios = []
     meta: list[Any] = []
     for family in families:
         for n_pes in sizes:
             spec = large_topology_spec(family, n_pes)
             diameter = make_topology(spec).diameter
             for strategy in strategies:
-                runs.append(planned_run(program, spec, strategy, config=config, seed=seed))
+                scenarios.append(Scenario(program, spec, strategy, config, seed=seed))
                 meta.append((family, n_pes, diameter, strategy))
 
     def _reduce(
@@ -130,7 +132,7 @@ def large_machine_plan(
             for res, (family, n_pes, diameter, strategy) in zip(results, labels)
         ]
 
-    return ExperimentPlan("large-machines", tuple(runs), _reduce, tuple(meta))
+    return ExperimentPlan.from_scenarios("large-machines", scenarios, _reduce, meta)
 
 
 def run_large_machines(

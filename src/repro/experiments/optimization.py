@@ -23,9 +23,10 @@ from ..core import CWN, GradientModel
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = [
@@ -76,11 +77,12 @@ def parameter_plan(
     The reducer scores each combination by mean speedup over the sample
     points and returns the grid best-first.
     """
-    runs = tuple(
-        planned_run(program, topo, build(**params), config=config, seed=seed)
+    config = config or SimConfig()
+    scenarios = [
+        Scenario(program, topo, build(**params), config, seed=seed)
         for params in grid
         for program, topo in points
-    )
+    ]
     meta = tuple(params for params in grid for _ in points)
 
     def _reduce(
@@ -95,7 +97,7 @@ def parameter_plan(
         scored.sort(key=lambda sp: -sp.mean_speedup)
         return scored
 
-    return ExperimentPlan(name, runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios(name, scenarios, _reduce, meta)
 
 
 def _sweep(

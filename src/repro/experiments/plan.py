@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from ..obs import telemetry as _telemetry
-from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache, RunSpec, run_batch
 from ..parallel.pool import RunFailure
@@ -51,7 +50,6 @@ __all__ = [
     "execute",
     "merge_plans",
     "paired",
-    "planned_run",
     "planned_scenario",
 ]
 
@@ -125,12 +123,6 @@ class ExperimentPlan:
         """
         return cls(name, tuple(planned_scenario(sc) for sc in scenarios), reduce, tuple(meta))
 
-    def scenarios(self) -> tuple["Scenario | None", ...]:
-        """The plan's runs as scenarios (``None`` for opaque local thunks)."""
-        return tuple(
-            run.scenario() if isinstance(run, RunSpec) else None for run in self.runs
-        )
-
 
 def planned_scenario(scenario: "Scenario") -> PlanRun:
     """One plan entry for ``scenario``: a canonical spec, or a fallback.
@@ -145,38 +137,6 @@ def planned_scenario(scenario: "Scenario") -> PlanRun:
         return RunSpec.from_scenario(scenario)
     except ValueError:
         return LocalRun(thunk=scenario.run, label=scenario.label())
-
-
-def planned_run(
-    workload: Any,
-    topology: Any,
-    strategy: Any,
-    config: SimConfig | None = None,
-    seed: int | None = None,
-    start_pe: int = 0,
-    queries: int = 1,
-    arrival_spacing: float = 0.0,
-    arrival_pes: Sequence[int] | None = None,
-    arrival_times: Sequence[float] | None = None,
-) -> PlanRun:
-    """One run for a plan, from loose arguments (mirrors ``simulate``).
-
-    Kwargs-style sugar over :func:`planned_scenario`.
-    """
-    return planned_scenario(
-        Scenario.of(
-            workload,
-            topology,
-            strategy,
-            config=config,
-            seed=seed,
-            start_pe=start_pe,
-            queries=queries,
-            arrival_spacing=arrival_spacing,
-            arrival_pes=arrival_pes,
-            arrival_times=arrival_times,
-        )
-    )
 
 
 def paired(

@@ -26,9 +26,10 @@ from ..core import Strategy, paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Arrivals, Scenario
 from ..topology import Topology, paper_grid
 from ..workload import Fibonacci, Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["StreamResult", "render_stream", "run_stream", "stream_plan"]
@@ -71,21 +72,13 @@ def stream_plan(
             "cwn": paper_cwn(topology.family),
             "gm": paper_gm(topology.family),
         }
-    arrival_pes = spread_pes(topology, queries)
+    config = config or SimConfig()
+    arrivals = Arrivals(queries, spacing, spread_pes(topology, queries))
     expected = program.expected_result()
-    runs = tuple(
-        planned_run(
-            program,
-            topology,
-            strategy,
-            config=config,
-            seed=seed,
-            queries=queries,
-            arrival_spacing=spacing,
-            arrival_pes=arrival_pes,
-        )
+    scenarios = [
+        Scenario(program, topology, strategy, config, seed=seed, arrivals=arrivals)
         for strategy in strategies.values()
-    )
+    ]
     meta = tuple(strategies)
 
     def _reduce(
@@ -108,7 +101,7 @@ def stream_plan(
             )
         return out
 
-    return ExperimentPlan("stream", runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios("stream", scenarios, _reduce, meta)
 
 
 def run_stream(

@@ -17,9 +17,10 @@ from ..core import Strategy, paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology
 from ..workload import Program
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 
 __all__ = [
     "Replication",
@@ -93,11 +94,12 @@ def pair_plan(
 ) -> ExperimentPlan:
     """CWN/GM pairs across seeds as a plan; reduces to ratio statistics."""
     family = topology.family
-    runs = tuple(
-        planned_run(program, topology, strategy, config=config, seed=seed)
+    config = config or SimConfig()
+    scenarios = [
+        Scenario(program, topology, strategy, config, seed=seed)
         for seed in seeds
         for strategy in (paper_cwn(family), paper_gm(family))
-    )
+    ]
     meta = tuple(seed for seed in seeds for _ in range(2))
 
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> Replication:
@@ -105,7 +107,7 @@ def pair_plan(
             tuple(cwn.speedup / gm.speedup for cwn, gm, _seed in paired(results, labels))
         )
 
-    return ExperimentPlan("replicate:pair", runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios("replicate:pair", scenarios, _reduce, meta)
 
 
 def replicate_pair(
@@ -140,16 +142,16 @@ def metric_plan(
     ``strategy_factory`` is called once per seed (strategies carry
     per-run state); ``metric`` names a SimResult attribute or property.
     """
-    runs = tuple(
-        planned_run(program, topology, strategy_factory(), config=config, seed=seed)
-        for seed in seeds
-    )
+    config = config or SimConfig()
+    scenarios = [
+        Scenario(program, topology, strategy_factory(), config, seed=seed) for seed in seeds
+    ]
     meta = tuple(seeds)
 
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> Replication:
         return Replication(tuple(float(getattr(res, metric)) for res in results))
 
-    return ExperimentPlan(f"replicate:{metric}", runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios(f"replicate:{metric}", scenarios, _reduce, meta)
 
 
 def replicate_metric(

@@ -21,10 +21,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import paper_dlm, paper_grid
 from ..workload import Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, paired, planned_run
+from .plan import ExperimentPlan, execute, paired
 from .tables import format_table
 
 __all__ = ["ScalingPoint", "render_scaling", "run_scaling", "scaling_plan"]
@@ -55,16 +56,15 @@ def scaling_plan(
     """Machine sizes x families with a fixed workload (fib(15) default)."""
     if program is None:
         program = Fibonacci(15 if not scale.full_scale() else 18)
-    runs = []
+    config = config or SimConfig()
+    scenarios = []
     meta: list[Any] = []
     for family in families:
         make = paper_grid if family == "grid" else paper_dlm
         for n_pes in scale.pe_counts(full):
             topo = make(n_pes)
             for strategy in (paper_cwn(family), paper_gm(family)):
-                runs.append(
-                    planned_run(program, topo, strategy, config=config, seed=seed)
-                )
+                scenarios.append(Scenario(program, topo, strategy, config, seed=seed))
                 meta.append((family, n_pes, topo.diameter))
 
     def _reduce(
@@ -75,7 +75,7 @@ def scaling_plan(
             for cwn, gm, (family, n_pes, diameter) in paired(results, labels)
         ]
 
-    return ExperimentPlan("scaling", tuple(runs), _reduce, tuple(meta))
+    return ExperimentPlan.from_scenarios("scaling", scenarios, _reduce, meta)
 
 
 def run_scaling(

@@ -29,9 +29,10 @@ from ..core.base import Strategy
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology.base import Topology
 from ..workload.base import Program
-from .plan import ExperimentPlan, execute, planned_run
+from .plan import ExperimentPlan, execute
 from .tables import format_table
 
 __all__ = ["PairedSweep", "SweepPoint", "SweepResult"]
@@ -143,16 +144,14 @@ class PairedSweep:
             raise ValueError("sweep needs at least one value")
         if not seeds:
             raise ValueError("sweep needs at least one seed")
-        runs = []
+        scenarios = []
         meta: list[Any] = []
         for x in values:
             for seed in seeds:
                 strat_a, strat_b, config = self.factory(x)
                 for strat in (strat_a, strat_b):
-                    runs.append(
-                        planned_run(
-                            self.program, self.topology, strat, config=config, seed=seed
-                        )
+                    scenarios.append(
+                        Scenario(self.program, self.topology, strat, config, seed=seed)
                     )
                     meta.append((x, seed))
 
@@ -172,7 +171,7 @@ class PairedSweep:
                 self.factor, self.metric, self.a_name, self.b_name, tuple(points)
             )
 
-        return ExperimentPlan(f"sweep:{self.factor}", tuple(runs), _reduce, tuple(meta))
+        return ExperimentPlan.from_scenarios(f"sweep:{self.factor}", scenarios, _reduce, meta)
 
     def run(
         self,

@@ -36,9 +36,10 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import Fibonacci
-from .plan import ExperimentPlan, execute, merge_plans, planned_run
+from .plan import ExperimentPlan, execute, merge_plans
 from .plots import ascii_plot
 
 __all__ = [
@@ -79,16 +80,16 @@ def pilot_plan(
     """
     base = config or SimConfig()
     family = topology.family
-    runs = tuple(
-        planned_run(Fibonacci(fib_n), topology, build(family), config=base, seed=seed)
+    scenarios = [
+        Scenario(Fibonacci(fib_n), topology, build(family), base, seed=seed)
         for _name, build in _STRATEGIES
-    )
+    ]
     meta = tuple(name for name, _build in _STRATEGIES)
 
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> dict[str, float]:
         return {name: res.completion_time for name, res in zip(labels, results)}
 
-    return ExperimentPlan("timeseries:pilot", runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios("timeseries:pilot", scenarios, _reduce, meta)
 
 
 def sampled_plan(
@@ -101,16 +102,16 @@ def sampled_plan(
     """Stage 2: the real traces, each strategy at its pilot-sized interval."""
     base = config or SimConfig()
     family = topology.family
-    runs = tuple(
-        planned_run(
+    scenarios = [
+        Scenario(
             Fibonacci(fib_n),
             topology,
             build(family),
-            config=base.replace(sample_interval=intervals[name]),
+            base.replace(sample_interval=intervals[name]),
             seed=seed,
         )
         for name, build in _STRATEGIES
-    )
+    ]
     meta = tuple(name for name, _build in _STRATEGIES)
 
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> TimeSeriesStudy:
@@ -123,7 +124,7 @@ def sampled_plan(
             label = res.workload
         return TimeSeriesStudy(topology.name, label, series, completion)
 
-    return ExperimentPlan("timeseries", runs, _reduce, meta)
+    return ExperimentPlan.from_scenarios("timeseries", scenarios, _reduce, meta)
 
 
 def _intervals(pilot: dict[str, float], samples: int) -> dict[str, float]:

@@ -22,10 +22,11 @@ from ..core import paper_cwn, paper_gm
 from ..oracle.config import SimConfig
 from ..oracle.stats import SimResult
 from ..parallel import ResultCache
+from ..scenario import Scenario
 from ..topology import Topology, paper_dlm, paper_grid
 from ..workload import DivideConquer, Fibonacci, Program
 from . import scale
-from .plan import ExperimentPlan, execute, merge_plans, planned_run
+from .plan import ExperimentPlan, execute, merge_plans
 from .plots import ascii_plot
 from .tables import format_table
 
@@ -67,14 +68,13 @@ def curve_plan(
     """One plot as a plan: problem sizes x strategies on one topology."""
     family = topology.family
     builders = {"cwn": paper_cwn, "gm": paper_gm}
-    runs = []
+    config = config or SimConfig()
+    scenarios = []
     meta: list[Any] = []
     for program in _programs(kind, full):
         for strat in strategies:
-            runs.append(
-                planned_run(
-                    program, topology, builders[strat](family), config=config, seed=seed
-                )
+            scenarios.append(
+                Scenario(program, topology, builders[strat](family), config, seed=seed)
             )
             meta.append(strat)
 
@@ -86,7 +86,7 @@ def curve_plan(
             series[strat].append((res.total_goals, res.utilization_percent))
         return UtilizationCurve(topology.name, kind, series)
 
-    return ExperimentPlan(f"plot:{topology.name}", tuple(runs), _reduce, tuple(meta))
+    return ExperimentPlan.from_scenarios(f"plot:{topology.name}", scenarios, _reduce, meta)
 
 
 def run_curve(

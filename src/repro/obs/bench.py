@@ -175,10 +175,7 @@ def bench_farm(quick: bool = False) -> dict[str, Metric]:
     from repro.parallel import ResultCache, RunSpec, run_batch
 
     n_specs = 4 if quick else 8
-    specs = [
-        RunSpec.build("fib:11", "grid:4x4", "cwn", seed=seed)
-        for seed in range(1, n_specs + 1)
-    ]
+    specs = [RunSpec("fib:11", "grid:4x4", "cwn", seed=seed) for seed in range(1, n_specs + 1)]
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as root:
         cache = ResultCache(root)
         start = time.perf_counter()

@@ -14,6 +14,7 @@ the conclusion calls for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal, Mapping
 
@@ -115,8 +116,9 @@ class CostModel:
             "route_decision",
             "gm_cycle_overhead",
         ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be non-negative")
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{field_name} must be finite and non-negative, got {value}")
         if self.leaf_work == 0 and self.split_work == 0 and self.combine_work == 0:
             raise ValueError("at least one work cost must be positive")
 
@@ -251,14 +253,16 @@ class SimConfig:
             raise ValueError(f"unknown load_info mode {self.load_info!r}")
         if self.queue_discipline not in ("fifo", "lifo"):
             raise ValueError(f"unknown queue_discipline {self.queue_discipline!r}")
-        if self.pe_speeds is not None and any(s <= 0 for s in self.pe_speeds):
-            raise ValueError("pe_speeds must all be positive")
-        if self.load_info_delay < 0:
-            raise ValueError("load_info_delay must be non-negative")
-        if self.load_info_interval <= 0:
-            raise ValueError("load_info_interval must be positive")
-        if self.sample_interval < 0:
-            raise ValueError("sample_interval must be non-negative")
+        if self.pe_speeds is not None and not all(
+            math.isfinite(s) and s > 0 for s in self.pe_speeds
+        ):
+            raise ValueError("pe_speeds must all be finite and positive")
+        if not (math.isfinite(self.load_info_delay) and self.load_info_delay >= 0):
+            raise ValueError("load_info_delay must be finite and non-negative")
+        if not (math.isfinite(self.load_info_interval) and self.load_info_interval > 0):
+            raise ValueError("load_info_interval must be finite and positive")
+        if not (math.isfinite(self.sample_interval) and self.sample_interval >= 0):
+            raise ValueError("sample_interval must be finite and non-negative")
 
     def replace(self, **changes: object) -> "SimConfig":
         """Return a copy with ``changes`` applied (dataclasses.replace)."""

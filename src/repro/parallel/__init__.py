@@ -1,7 +1,7 @@
 """Multiprocess simulation farm with a content-addressed result cache.
 
-Every experiment here is a bag of independent ``simulate(...)`` runs;
-this package makes such bags cheap:
+Every experiment here is a bag of independent runs; this package
+makes such bags cheap:
 
 * :mod:`repro.parallel.spec` — :class:`RunSpec`, one run as canonical,
   hashable, JSON-serializable data;

@@ -27,10 +27,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -211,10 +210,6 @@ class ResultCache:
         #: sharing across caches rooted differently would serve results
         #: across isolation boundaries the roots exist to draw.
         self._memo: dict[str, dict[str, Any]] = {}
-        #: per-key in-flight locks for get_or_put (created lazily under
-        #: _inflight_guard, removed when the last waiter leaves)
-        self._inflight: dict[str, tuple[threading.Lock, int]] = {}
-        self._inflight_guard = threading.Lock()
 
     @property
     def _version_dir(self) -> Path:
@@ -242,8 +237,6 @@ class ResultCache:
         if data is not None:
             # Refresh LRU position (dicts iterate in insertion order, so
             # pop + reinsert is move-to-end; eviction pops the front).
-            # pop-with-default rather than del: concurrent get_or_put
-            # threads may refresh the same key at the same time.
             memo.pop(key, None)
             memo[key] = data
             self.hits += 1
@@ -299,48 +292,6 @@ class ResultCache:
 
     def __contains__(self, spec: RunSpec) -> bool:
         return self.path_for(spec).exists()
-
-    def get_or_put(
-        self, spec: RunSpec, compute: Callable[[], SimResult]
-    ) -> SimResult:
-        """The stored result, computing (and storing) it on miss — once.
-
-        The concurrent-writer contract the serve path needs: when many
-        threads ask for the same key at the same time, exactly one runs
-        ``compute()``; the losers of that race block on the key's
-        in-flight lock and then *re-read* the freshly persisted entry
-        instead of recomputing it.  ``put`` was always atomic (a lost
-        write race produces identical bytes, not corruption) — this
-        closes the remaining waste, the duplicated simulation itself.
-
-        Distinct keys never contend: the lock is per content address.
-        """
-        found = self.get(spec)
-        if found is not None:
-            return found
-        key = spec.key()
-        with self._inflight_guard:
-            lock, waiters = self._inflight.get(key, (None, 0))
-            if lock is None:
-                lock = threading.Lock()
-            self._inflight[key] = (lock, waiters + 1)
-        try:
-            with lock:
-                # The race re-read: a thread that held the lock before
-                # us may have computed and persisted this very key.
-                found = self.get(spec)
-                if found is not None:
-                    return found
-                result = compute()
-                self.put(spec, result)
-                return result
-        finally:
-            with self._inflight_guard:
-                lock, waiters = self._inflight[key]
-                if waiters <= 1:
-                    del self._inflight[key]
-                else:
-                    self._inflight[key] = (lock, waiters - 1)
 
     # -- store -------------------------------------------------------------------
 

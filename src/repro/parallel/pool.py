@@ -13,7 +13,7 @@ three guarantees the experiment harness leans on:
   matter which worker finished first (dispatch is unordered for
   throughput; reassembly restores order);
 * **import-once workers** — each worker process runs
-  :func:`_worker_init` at birth, importing the simulator stack a single
+  :func:`warm_worker` at birth, importing the simulator stack a single
   time; per-task payloads are just small spec dataclasses.
 
 Dispatch is chunked (``chunksize`` specs per IPC round-trip) because a
@@ -56,7 +56,7 @@ class FarmError(SimulationError):
 
     Derives from the engine's :class:`~repro.oracle.engine.SimulationError`
     (a deliberately *different* class would silently slip past callers'
-    existing ``except SimulationError`` handlers around ``simulate``).
+    existing ``except SimulationError`` handlers around ``Scenario.run``).
     """
 
 
@@ -99,13 +99,9 @@ def warm_worker() -> None:
     (:mod:`repro.serve.fleet`), which stay warm across batches instead
     of re-paying it per dispatch.
     """
-    from ..experiments import runner  # noqa: F401  (import for side effect)
+    from ..oracle import machine  # noqa: F401  (import for side effect)
 
     _telemetry.init_from_env()
-
-
-#: backwards-compatible private alias (the executor initializer below)
-_worker_init = warm_worker
 
 
 def _run_one(item: tuple[int, RunSpec]) -> tuple[int, bool, object]:
@@ -163,7 +159,7 @@ def run_many(
     ``"spawn"``, ``"forkserver"``); ``None`` keeps the platform default
     (fork where available).  Results are bit-identical either way —
     the knob exists for platforms without fork and for tests exercising
-    the spawn path's ``_worker_init`` re-initialization.
+    the spawn path's ``warm_worker`` re-initialization.
     """
     specs = list(specs)
     if not specs:
@@ -197,7 +193,7 @@ def run_many(
         return out  # type: ignore[return-value]
 
     # fork shares the already-imported stack with workers for free;
-    # spawn (the only option on some platforms) relies on _worker_init.
+    # spawn (the only option on some platforms) relies on warm_worker.
     methods = multiprocessing.get_all_start_methods()
     if start_method is not None and start_method not in methods:
         raise ValueError(
@@ -215,7 +211,7 @@ def run_many(
     chunks = [indexed[i : i + chunksize] for i in range(0, len(indexed), chunksize)]
 
     executor = ProcessPoolExecutor(
-        max_workers=jobs, mp_context=ctx, initializer=_worker_init
+        max_workers=jobs, mp_context=ctx, initializer=warm_worker
     )
     try:
         pending = {executor.submit(_run_chunk, chunk): chunk for chunk in chunks}

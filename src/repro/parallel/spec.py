@@ -1,11 +1,11 @@
 """Canonical run specifications: one simulation as a hashable value.
 
 Every experiment in this reproduction reduces to a bag of independent
-``simulate(workload, topology, strategy, config, seed)`` calls.
-:class:`RunSpec` is that call reified as data: spec strings for the
-three factories (:func:`repro.workload.make`, :func:`repro.topology.make`,
-:func:`repro.core.make_strategy`), the full :class:`SimConfig`, and the
-seed.  Because a spec is pure data it can be
+runs.  :class:`RunSpec` is one run reified as string-only data: spec
+strings for the three factories (:func:`repro.workload.make`,
+:func:`repro.topology.make`, :func:`repro.core.make_strategy`), the
+full :class:`SimConfig`, the seed, the injection PE and the arrival
+block.  Because a spec is pure data it can be
 
 * **shipped to a worker process** (it pickles trivially — no live
   machine state crosses the fork);
@@ -16,27 +16,23 @@ seed.  Because a spec is pure data it can be
 
 The canonicalization contract is owned by the registries themselves
 (``spec_of`` / ``canonical_spec`` in each package), so a new workload
-kind only has to register how to spell itself.  Since the
-:class:`~repro.scenario.Scenario` redesign, ``RunSpec`` is the farm's
-string-only view of a scenario: :meth:`RunSpec.from_scenario` /
-:meth:`RunSpec.scenario` translate, and the canonical form and content
-hash are *defined* as the scenario's (``SPEC_SCHEMA`` lives there), so
-a spec, its scenario, and every spelling in between share one cache
-address.
+kind only has to register how to spell itself.  ``RunSpec`` is the
+farm's string-only view of a :class:`~repro.scenario.Scenario`:
+:meth:`RunSpec.from_scenario` / :meth:`RunSpec.scenario` translate, and
+the canonical form and content hash are *defined* as the scenario's
+(``SPEC_SCHEMA`` lives there), so a spec, its scenario, and every
+spelling in between share one cache address.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
-from ..core import Strategy
 from ..oracle.config import SimConfig
 from ..scenario.arrivals import Arrivals
 from ..scenario.scenario import SPEC_SCHEMA, Scenario
-from ..topology import Topology
-from ..workload import Program
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..oracle.stats import SimResult
@@ -49,10 +45,8 @@ class RunSpec:
     """One simulation run as canonical, hashable, JSON-serializable data.
 
     ``workload`` / ``topology`` / ``strategy`` are factory spec strings;
-    ``seed`` (when given) overrides ``config.seed`` exactly as the
-    ``seed=`` convenience argument of :func:`repro.experiments.runner.simulate`
-    does, so ``spec.run()`` is bit-identical to the equivalent in-process
-    ``simulate`` call.
+    the other fields are a :class:`~repro.scenario.Scenario`'s, so
+    ``spec.run()`` is bit-identical to ``spec.scenario().run()``.
     """
 
     workload: str
@@ -61,49 +55,7 @@ class RunSpec:
     config: SimConfig = field(default_factory=SimConfig)
     seed: int | None = None
     start_pe: int = 0
-    #: open-system extension: >1 turns the run into a query stream
-    queries: int = 1
-    arrival_spacing: float = 0.0
-    arrival_pes: tuple[int, ...] | None = None
-    arrival_times: tuple[float, ...] | None = None
-
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        workload: Program | str,
-        topology: Topology | str,
-        strategy: Strategy | str,
-        config: SimConfig | None = None,
-        seed: int | None = None,
-        start_pe: int = 0,
-        queries: int = 1,
-        arrival_spacing: float = 0.0,
-        arrival_pes: "Sequence[int] | None" = None,
-        arrival_times: "Sequence[float] | None" = None,
-    ) -> "RunSpec":
-        """Make a spec from objects or spec strings (mirrors ``simulate``).
-
-        Objects are spelled back into canonical spec strings via the
-        registries' ``spec_of``; objects whose parameters the spec
-        grammar cannot express raise ``ValueError`` (callers fall back
-        to in-process execution for those).
-        """
-        return cls.from_scenario(
-            Scenario.of(
-                workload,
-                topology,
-                strategy,
-                config=config,
-                seed=seed,
-                start_pe=start_pe,
-                queries=queries,
-                arrival_spacing=arrival_spacing,
-                arrival_pes=arrival_pes,
-                arrival_times=arrival_times,
-            )
-        )
+    arrivals: Arrivals = field(default_factory=Arrivals)
 
     # -- the Scenario currency ---------------------------------------------------
 
@@ -115,7 +67,6 @@ class RunSpec:
         spec grammar cannot express (those run in-process instead).
         """
         spelled = scenario.spelled()
-        arrivals = spelled.arrivals
         return cls(
             spelled.workload,
             spelled.topology,
@@ -123,10 +74,7 @@ class RunSpec:
             spelled.config,
             spelled.seed,
             spelled.start_pe,
-            arrivals.queries,
-            arrivals.spacing,
-            arrivals.pes,
-            arrivals.times,
+            spelled.arrivals,
         )
 
     def scenario(self) -> Scenario:
@@ -140,24 +88,12 @@ class RunSpec:
                 self.config,
                 self.seed,
                 self.start_pe,
-                Arrivals(
-                    self.queries,
-                    self.arrival_spacing,
-                    self.arrival_pes,
-                    self.arrival_times,
-                ),
+                self.arrivals,
             )
             object.__setattr__(self, "_scenario", cached)
         return cached
 
     # -- execution ---------------------------------------------------------------
-
-    @property
-    def effective_config(self) -> SimConfig:
-        """``config`` with the seed override folded in."""
-        if self.seed is None:
-            return self.config
-        return self.config.replace(seed=self.seed)
 
     def run(self) -> "SimResult":
         """Execute this spec in the current process."""
@@ -170,8 +106,8 @@ class RunSpec:
 
         Spec strings are normalized through the registries (the strategy
         against the topology's family, so bare ``"cwn"`` resolves to the
-        same explicit parameters :func:`~repro.experiments.runner.build_machine`
-        would give it) and the seed override is folded into the config.
+        same explicit parameters :meth:`Scenario.build` would give it)
+        and the seed override is folded into the config.
         """
         return RunSpec.from_scenario(self.scenario().canonical())
 
@@ -199,39 +135,9 @@ class RunSpec:
 
     def to_json(self) -> str:
         """Round-trippable JSON of this spec exactly as spelled."""
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "topology": self.topology,
-                "strategy": self.strategy,
-                "config": self.config.to_dict(),
-                "seed": self.seed,
-                "start_pe": self.start_pe,
-                "queries": self.queries,
-                "arrival_spacing": self.arrival_spacing,
-                "arrival_pes": None if self.arrival_pes is None else list(self.arrival_pes),
-                "arrival_times": None
-                if self.arrival_times is None
-                else list(self.arrival_times),
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.scenario().to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":
-        """Inverse of :meth:`to_json` (pre-arrival-era JSON still loads)."""
-        data = json.loads(text)
-        pes = data.get("arrival_pes")
-        times = data.get("arrival_times")
-        return cls(
-            workload=data["workload"],
-            topology=data["topology"],
-            strategy=data["strategy"],
-            config=SimConfig.from_dict(data["config"]),
-            seed=data["seed"],
-            start_pe=data["start_pe"],
-            queries=data.get("queries", 1),
-            arrival_spacing=data.get("arrival_spacing", 0.0),
-            arrival_pes=None if pes is None else tuple(pes),
-            arrival_times=None if times is None else tuple(times),
-        )
+        """Inverse of :meth:`to_json`."""
+        return cls.from_scenario(Scenario.from_dict(json.loads(text)))

@@ -146,7 +146,7 @@ def check_shardable(
     topology = scenario.resolve_topology()
     partition = Partition(topology, shards)
     strategy = scenario.resolve_strategy(family=topology.family)
-    config = scenario.effective_config or SimConfig()
+    config = scenario.effective_config
     lookahead = _check(topology, strategy, config, partition)
     if verify:
         from ..lint.flow import verify_strategy
@@ -174,7 +174,7 @@ def run_sharded(scenario: Scenario, shards: int) -> SimResult:
     topology = scenario.resolve_topology()
     strategy = scenario.resolve_strategy(family=topology.family)
     program = scenario.resolve_workload()
-    config = scenario.effective_config or SimConfig()
+    config = scenario.effective_config
     partition = Partition(topology, shards)
     lookahead = _check(topology, strategy, config, partition)
 
@@ -251,7 +251,7 @@ def _drive(
     samples_by_key: dict[tuple, tuple[float, dict[int, list[float]]]] = {}
     #: (key, shard, traceback_text) per wedged shard
     errors: list[tuple] = []
-    arrivals = Arrivals.resolve(scenario.arrivals, 1, 0.0, None, None)
+    arrivals = scenario.arrivals
     queries = arrivals.queries
     events_issued = 0
 

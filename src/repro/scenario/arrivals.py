@@ -1,11 +1,10 @@
 """The open-system arrival block, as one value.
 
-``queries`` / ``arrival_spacing`` / ``arrival_pes`` / ``arrival_times``
-used to be four loose knobs re-plumbed (and re-validated, and
-re-``None if x is None else list(x)``-ed) through every layer that
-touches a run: ``Machine.__init__``, ``build_machine``, ``simulate``,
-``RunSpec``, ``planned_run``.  :class:`Arrivals` collapses them into a
-single frozen, hashable value with the validation in exactly one place.
+How many instances of the program enter the machine, when and where:
+one frozen, hashable value that :class:`~repro.scenario.Scenario`,
+:class:`~repro.parallel.spec.RunSpec` and
+:class:`~repro.oracle.machine.Machine` all carry as is, with the
+validation in exactly one place.
 
 The default instance (one query, injected at the scenario's
 ``start_pe`` at time 0) is the paper's closed-system run; anything else
@@ -15,8 +14,9 @@ turns the machine into an open system — see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 __all__ = ["Arrivals"]
 
@@ -55,55 +55,19 @@ class Arrivals:
             object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         if self.queries < 1:
             raise ValueError("queries must be >= 1")
-        if self.spacing < 0:
-            raise ValueError("arrival_spacing must be >= 0")
+        if not (math.isfinite(self.spacing) and self.spacing >= 0):
+            raise ValueError(f"spacing must be finite and >= 0, got {self.spacing}")
         if self.pes is not None and len(self.pes) != self.queries:
-            raise ValueError(
-                f"arrival_pes has {len(self.pes)} entries for {self.queries} queries"
-            )
+            raise ValueError(f"pes has {len(self.pes)} entries for {self.queries} queries")
         if self.times is not None:
             if self.spacing != 0.0:
-                raise ValueError("pass arrival_times or arrival_spacing, not both")
+                raise ValueError("pass times or spacing, not both")
             if len(self.times) != self.queries:
                 raise ValueError(
-                    f"arrival_times has {len(self.times)} entries for {self.queries} queries"
+                    f"times has {len(self.times)} entries for {self.queries} queries"
                 )
-            if any(t < 0 for t in self.times):
-                raise ValueError("arrival_times must be non-negative")
-
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def from_args(
-        cls,
-        queries: int = 1,
-        spacing: float = 0.0,
-        pes: Sequence[int] | None = None,
-        times: Sequence[float] | None = None,
-    ) -> "Arrivals":
-        """The four legacy keyword arguments, normalized into one value."""
-        return cls(queries, spacing, pes, times)  # type: ignore[arg-type]
-
-    @classmethod
-    def resolve(
-        cls,
-        arrivals: "Arrivals | None",
-        queries: int = 1,
-        spacing: float = 0.0,
-        pes: Sequence[int] | None = None,
-        times: Sequence[float] | None = None,
-    ) -> "Arrivals":
-        """One arrival block from either spelling, never both.
-
-        ``Scenario.of``, which accepts both a bundled ``arrivals=`` and
-        the four legacy knobs, funnels through here, so the
-        mutual-exclusion rule lives once.
-        """
-        if arrivals is None:
-            return cls.from_args(queries, spacing, pes, times)
-        if queries != 1 or spacing != 0.0 or pes is not None or times is not None:
-            raise ValueError("pass arrivals= or the legacy arrival knobs, not both")
-        return arrivals
+            if not all(math.isfinite(t) and t >= 0 for t in self.times):
+                raise ValueError("times must be finite and non-negative")
 
     # -- properties --------------------------------------------------------------
 
@@ -120,7 +84,7 @@ class Arrivals:
     def check_pes(self, n_pes: int) -> None:
         """Validate the injection PEs against a machine of ``n_pes``."""
         if self.pes is not None and not all(0 <= pe < n_pes for pe in self.pes):
-            raise ValueError("arrival_pes entries must be valid PE indices")
+            raise ValueError(f"pes entries must be valid PE indices 0..{n_pes - 1}")
 
     # -- canonical form ----------------------------------------------------------
 

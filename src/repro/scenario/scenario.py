@@ -11,8 +11,7 @@ parts may be a live object or a factory spec string — the registries
 One value, four consumers:
 
 * ``Scenario.build()`` / ``Scenario.run()`` — construct the wired
-  :class:`~repro.oracle.machine.Machine` / run it (``simulate`` and
-  ``build_machine`` are now thin shims over these);
+  :class:`~repro.oracle.machine.Machine` / run it;
 * :class:`~repro.parallel.spec.RunSpec` — the farm's picklable form is
   ``RunSpec.from_scenario(sc)``, and every content hash is
   ``Scenario.content_hash()`` (so pre-Scenario warm caches keep
@@ -35,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .._spec_util import fmt_num
 from ..oracle.config import SimConfig
@@ -85,33 +84,6 @@ class Scenario:
     seed: int | None = None
     start_pe: int = 0
     arrivals: Arrivals = field(default_factory=Arrivals)
-
-    # -- construction ------------------------------------------------------------
-
-    @classmethod
-    def of(
-        cls,
-        workload: "Program | str",
-        topology: "Topology | str",
-        strategy: "Strategy | str",
-        config: SimConfig | None = None,
-        seed: int | None = None,
-        start_pe: int = 0,
-        queries: int = 1,
-        arrival_spacing: float = 0.0,
-        arrival_pes: Sequence[int] | None = None,
-        arrival_times: Sequence[float] | None = None,
-        arrivals: Arrivals | None = None,
-    ) -> "Scenario":
-        """Keyword-compatible constructor (mirrors the legacy ``simulate``).
-
-        The four legacy arrival knobs and the bundled ``arrivals`` value
-        are alternatives; passing both is a :class:`ValueError`.
-        """
-        arrivals = Arrivals.resolve(
-            arrivals, queries, arrival_spacing, arrival_pes, arrival_times
-        )
-        return cls(workload, topology, strategy, config or SimConfig(), seed, start_pe, arrivals)
 
     # -- resolution and execution ------------------------------------------------
 
@@ -227,7 +199,8 @@ class Scenario:
         strategy against the topology's family, so bare ``"cwn"``
         resolves to the same explicit parameters :meth:`build` gives
         it), the seed override is folded into the config, and the
-        arrival block is canonicalized.
+        arrival block is canonicalized.  Injection PEs outside the
+        topology raise :class:`ValueError` here, before any run starts.
         """
         from ..core import canonical_spec as canonical_strategy
         from ..topology import canonical_spec as canonical_topology, make as make_topology
@@ -235,12 +208,15 @@ class Scenario:
 
         spelled = self.spelled()
         topology = canonical_topology(spelled.topology)
-        family = make_topology(topology).family
+        built = make_topology(topology)
+        if not 0 <= self.start_pe < built.n:
+            raise ValueError(f"start_pe {self.start_pe} outside 0..{built.n - 1}")
+        self.arrivals.check_pes(built.n)
         return replace(
             spelled,
             workload=canonical_workload(spelled.workload),
             topology=topology,
-            strategy=canonical_strategy(spelled.strategy, family=family),
+            strategy=canonical_strategy(spelled.strategy, family=built.family),
             config=self.effective_config,
             seed=None,
             arrivals=self.arrivals.canonical(),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_mod
 import traceback
-from typing import Any, Sequence
+from typing import Any
 
 from ..parallel.cache import result_to_dict
 from ..parallel.pool import warm_worker
@@ -169,10 +169,6 @@ class WorkerFleet:
         if self.outstanding[worker] > 0:
             self.outstanding[worker] -= 1
         return task_id, worker, ok, payload
-
-    @property
-    def total_outstanding(self) -> int:
-        return sum(self.outstanding)
 
     def fail_dead_workers(self) -> list[int]:
         """Indices of dead workers, their outstanding counts zeroed.

@@ -30,6 +30,14 @@ class TestRunCommand:
         assert info.value.code == 2
         assert "malformed workload spec" in capsys.readouterr().err
 
+    def test_out_of_range_pes_exit(self, capsys):
+        for spec in ("fib:9 @ grid:2x2 / cwn?start=7", "fib:9 @ grid:2x2 / cwn?queries=2&pes=0;9"):
+            with pytest.raises(SystemExit) as info:
+                main(["run", spec])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error:") and err.count("\n") == 1
+
     def test_unknown_strategy_lists_registry(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "fib:9 @ grid:4x4 / cwm"])

@@ -19,7 +19,6 @@ from repro.experiments.optimization import (
     render_table1,
     run_optimization,
 )
-from repro.experiments.runner import build_machine, simulate
 from repro.experiments.timeseries import (
     render_timeseries,
     rise_time,
@@ -28,39 +27,40 @@ from repro.experiments.timeseries import (
 )
 from repro.experiments.utilization_curves import render_curve, run_curve
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
 
 
 class TestRunner:
     def test_simulate_with_specs(self):
-        res = simulate("fib:9", "grid:4x4", "cwn", seed=3)
+        res = Scenario("fib:9", "grid:4x4", "cwn", seed=3).run()
         assert res.result_value == 34
 
     def test_simulate_with_objects(self):
         from repro.core import CWN
 
-        res = simulate(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1), seed=3)
+        res = Scenario(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1), seed=3).run()
         assert res.result_value == 34
 
     def test_seed_override(self):
         cfg = SimConfig(seed=1)
-        res = simulate("fib:9", "grid:4x4", "cwn", config=cfg, seed=99)
+        res = Scenario("fib:9", "grid:4x4", "cwn", config=cfg, seed=99).run()
         assert res.seed == 99
 
     def test_bare_strategy_name_uses_family_params(self):
-        m_grid = build_machine("fib:9", "grid:5x5", "cwn")
+        m_grid = Scenario("fib:9", "grid:5x5", "cwn").build()
         assert m_grid.strategy.radius == 9  # Table 1 grid parameters
-        m_dlm = build_machine("fib:9", "dlm:5x5x5", "cwn")
+        m_dlm = Scenario("fib:9", "dlm:5x5x5", "cwn").build()
         assert m_dlm.strategy.radius == 5  # Table 1 DLM parameters
 
     def test_explicit_strategy_params(self):
-        m = build_machine("fib:9", "grid:5x5", "cwn:radius=4,horizon=2")
+        m = Scenario("fib:9", "grid:5x5", "cwn:radius=4,horizon=2").build()
         assert (m.strategy.radius, m.strategy.horizon) == (4, 2)
 
     def test_unknown_strategy_spec(self):
         with pytest.raises(ValueError):
-            build_machine("fib:9", "grid:4x4", "astrology")
+            Scenario("fib:9", "grid:4x4", "astrology").build()
 
 
 class TestScale:

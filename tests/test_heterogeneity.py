@@ -21,6 +21,9 @@ class TestConfiguration:
             SimConfig(pe_speeds=(1.0, 0.0))
         with pytest.raises(ValueError):
             SimConfig(pe_speeds=(1.0, -2.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(pe_speeds=(1.0, bad))
 
     def test_length_mismatch_rejected(self):
         cfg = SimConfig(pe_speeds=(1.0, 1.0, 1.0))

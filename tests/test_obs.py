@@ -183,7 +183,7 @@ def _recorded_stream(tmp_path, per_pe=True):
     from repro.parallel.spec import RunSpec
 
     stream = tmp_path / "stream.jsonl"
-    spec = RunSpec.build(
+    spec = RunSpec(
         "fib:10",
         "grid:4x4",
         "cwn",
@@ -317,7 +317,7 @@ class TestFarmSummarySatellites:
 
         root = tmp_path / "cache"
         cache = ResultCache(root)
-        spec = RunSpec.build("fib:9", "grid:4x4", "cwn", seed=1)
+        spec = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
         cache.put(spec, spec.run())
         assert main(["cache", "stats", "--json", "--dir", str(root)]) == 0
         payload = json.loads(capsys.readouterr().out)

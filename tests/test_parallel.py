@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import paper_cwn
 from repro.experiments.comparison import render_table2, run_comparison
-from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.parallel import (
     ResultCache,
@@ -22,6 +21,7 @@ from repro.parallel import (
     run_many,
 )
 from repro.parallel.cache import result_from_dict, result_to_dict
+from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
 
@@ -59,7 +59,9 @@ class TestRunSpec:
         assert RunSpec.from_json(spec.to_json()) == spec
 
     def test_build_from_objects_matches_spec_strings(self):
-        from_objects = RunSpec.build(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
+        from_objects = RunSpec.from_scenario(
+            Scenario(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
+        )
         from_strings = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
         assert from_objects.key() == from_strings.key()
 
@@ -108,7 +110,7 @@ class TestRunSpec:
 
     def test_run_equals_simulate(self):
         spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert_results_equal(spec.run(), simulate("fib:9", "grid:5x5", "cwn", seed=1))
+        assert_results_equal(spec.run(), Scenario("fib:9", "grid:5x5", "cwn", seed=1).run())
 
 
 # -- ResultCache -----------------------------------------------------------------
@@ -189,12 +191,12 @@ class TestResultCache:
         assert ResultCache().root == tmp_path / "elsewhere"
 
     def test_result_serialization_is_exact(self):
-        result = simulate(
+        result = Scenario(
             "fib:9",
             "grid:5x5",
             "cwn",
             config=SimConfig(seed=1, sample_interval=50.0, sample_per_pe=True),
-        )
+        ).run()
         revived = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert_results_equal(revived, result)
         assert len(revived.samples) == len(result.samples)
@@ -213,7 +215,7 @@ SPECS = [
 
 class TestRunMany:
     def test_parallel_results_equal_serial_exactly(self):
-        serial = [simulate(s.workload, s.topology, s.strategy, seed=s.seed) for s in SPECS]
+        serial = [Scenario(s.workload, s.topology, s.strategy, seed=s.seed).run() for s in SPECS]
         farmed = run_many(SPECS, jobs=2)
         for a, b in zip(farmed, serial):
             assert_results_equal(a, b)
@@ -227,7 +229,7 @@ class TestRunMany:
     ):
         """Every start method gives bit-identical results, and workers
         join the telemetry stream — trivially under fork (the sink rides
-        the fork), via ``_worker_init``'s ``init_from_env`` under
+        the fork), via ``warm_worker``'s ``init_from_env`` under
         spawn/forkserver (a spawned worker starts from a blank module).
         """
         if start_method not in multiprocessing.get_all_start_methods():
@@ -413,82 +415,3 @@ class TestExperimentWiring:
         serial = sweep.run([2, 4], seeds=(1, 2))
         farmed = sweep.run([2, 4], seeds=(1, 2), jobs=2, cache=ResultCache(tmp_path))
         assert farmed == serial
-
-
-class TestGetOrPut:
-    """The singleflight contract: one compute per key under contention."""
-
-    def test_miss_computes_and_persists(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return spec.run()
-
-        first = cache.get_or_put(spec, compute)
-        second = cache.get_or_put(spec, compute)
-        assert len(calls) == 1, "second call must be a read, not a recompute"
-        assert_results_equal(first, second)
-        assert cache.path_for(spec).exists()
-
-    def test_thread_hammer_computes_exactly_once(self, tmp_path):
-        import threading
-
-        cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        reference = spec.run()
-        barrier = threading.Barrier(8)
-        compute_count = []
-        count_lock = threading.Lock()
-        results = [None] * 8
-        errors = []
-
-        def compute():
-            with count_lock:
-                compute_count.append(1)
-            return spec.run()
-
-        def hammer(i):
-            try:
-                barrier.wait()  # maximize the race window
-                results[i] = cache.get_or_put(spec, compute)
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors, errors
-        assert len(compute_count) == 1, (
-            f"{len(compute_count)} computes for one key — the losers of the "
-            f"write race must re-read, not recompute"
-        )
-        for result in results:
-            assert result is not None
-            assert_results_equal(result, reference)
-        # The in-flight lock registry must drain back to empty.
-        assert not cache._inflight
-
-    def test_distinct_keys_do_not_serialize(self, tmp_path):
-        import threading
-
-        cache = ResultCache(tmp_path)
-        specs = [RunSpec("fib:8", "grid:4x4", "cwn", seed=s) for s in (1, 2, 3, 4)]
-        started = threading.Barrier(4)
-        results = [None] * 4
-
-        def hammer(i):
-            started.wait()
-            results[i] = cache.get_or_put(specs[i], specs[i].run)
-
-        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert all(r is not None for r in results)
-        assert {r.seed for r in results} == {1, 2, 3, 4}

@@ -6,7 +6,7 @@ Every experiment module is now a (plan builder, reducer) pair on
 contract:
 
 * plan-based execution is **bit-identical** to the seed's hand-rolled
-  serial ``simulate()`` loops (reproduced inline here as references);
+  serial loops of single runs (reproduced inline here as references);
 * ``jobs=2`` and a warm-cache rerun reproduce the same result objects;
 * a warm rerun performs **zero new simulations** (cache hit counters);
 * every CLI experiment subcommand honors ``--jobs``/``--no-cache`` and
@@ -26,12 +26,11 @@ from repro.experiments.plan import (
     collect_reports,
     execute,
     merge_plans,
-    planned_run,
+    planned_scenario,
 )
-from repro.experiments.runner import simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.parallel import ResultCache, RunSpec
-from repro.scenario.arrivals import Arrivals
+from repro.scenario import Arrivals, Scenario
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
 
@@ -62,7 +61,7 @@ class TestExecuteEngine:
 
     def test_local_runs_interleave_in_order(self):
         spec = RunSpec("fib:7", "grid:4x4", "cwn", seed=1)
-        local = LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1))
+        local = LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run())
         plan = ExperimentPlan(
             "mixed",
             (local, spec),
@@ -71,9 +70,10 @@ class TestExecuteEngine:
         assert execute(plan) == ["gm", "cwn"]
 
     def test_unspellable_strategy_degrades_to_local_run(self):
-        run = planned_run(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"), seed=1)
+        odd = CWN(radius=3, horizon=1, tie_break="lowest")
+        run = planned_scenario(Scenario(Fibonacci(7), Grid(4, 4), odd, seed=1))
         assert isinstance(run, LocalRun)
-        spelled = planned_run(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1)
+        spelled = planned_scenario(Scenario(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1))
         assert isinstance(spelled, RunSpec)
 
     def test_progress_reports_every_run(self, tmp_path):
@@ -82,7 +82,7 @@ class TestExecuteEngine:
             "progress",
             (
                 RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1)),
+                LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run()),
             ),
             lambda results, meta: results,
         )
@@ -97,7 +97,7 @@ class TestExecuteEngine:
             "telemetry",
             (
                 RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: simulate("fib:7", "grid:4x4", "gm", seed=1)),
+                LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run()),
             ),
             lambda results, meta: results,
         )
@@ -147,8 +147,8 @@ class TestGoldenComparison:
             for n_pes in self.KW["pe_counts"]:
                 for program in _workloads("both", None, (7, 9), (21,)):
                     topo = _topology(family, n_pes)
-                    cwn = simulate(program, topo, paper_cwn(family), config=config, seed=1)
-                    gm = simulate(program, topo, paper_gm(family), config=config, seed=1)
+                    cwn = Scenario(program, topo, paper_cwn(family), config=config, seed=1).run()
+                    gm = Scenario(program, topo, paper_gm(family), config=config, seed=1).run()
                     cells.append(ComparisonCell(cwn.workload, family, n_pes, cwn, gm))
         return cells
 
@@ -185,7 +185,7 @@ class TestGoldenOptimization:
         reference = []
         for params in grid:
             speedups = tuple(
-                simulate(program, topo, CWN(**params), seed=1).speedup
+                Scenario(program, topo, CWN(**params), seed=1).run().speedup
                 for program, topo in points
             )
             reference.append(SweepPoint(params, sum(speedups) / len(speedups), speedups))
@@ -220,8 +220,8 @@ class TestGoldenScaling:
             make = paper_grid if family == "grid" else paper_dlm
             for n_pes in (25,):
                 topo = make(n_pes)
-                cwn = simulate(program, topo, paper_cwn(family), seed=1)
-                gm = simulate(program, topo, paper_gm(family), seed=1)
+                cwn = Scenario(program, topo, paper_cwn(family), seed=1).run()
+                gm = Scenario(program, topo, paper_gm(family), seed=1).run()
                 reference.append(
                     ScalingPoint(family, n_pes, topo.diameter, cwn.speedup, gm.speedup)
                 )
@@ -244,8 +244,8 @@ class TestGoldenGrainsize:
         for grain in grains:
             costs = scaled_costs(base, grain)
             cfg = SimConfig(costs=costs, seed=1)
-            cwn = simulate(program, topo, paper_cwn("grid"), config=cfg)
-            gm = simulate(program, topo, paper_gm("grid"), config=cfg)
+            cwn = Scenario(program, topo, paper_cwn("grid"), config=cfg).run()
+            gm = Scenario(program, topo, paper_gm("grid"), config=cfg).run()
             comm = costs.transfer_time(4) / (costs.leaf_work or 1.0)
             reference.append(GrainPoint(grain, comm, cwn.speedup, gm.speedup))
 
@@ -262,8 +262,8 @@ class TestGoldenHops:
         from repro.experiments.hops import run_hop_study
 
         topo = Grid(4, 4)
-        cwn = simulate(Fibonacci(9), topo, paper_cwn("grid"), seed=1)
-        gm = simulate(Fibonacci(9), topo, paper_gm("grid"), seed=1)
+        cwn = Scenario(Fibonacci(9), topo, paper_cwn("grid"), seed=1).run()
+        gm = Scenario(Fibonacci(9), topo, paper_gm("grid"), seed=1).run()
 
         study = run_hop_study(9, topo, seed=1)
         assert study.workload == cwn.workload and study.topology == topo.name
@@ -287,15 +287,15 @@ class TestGoldenTimeseries:
         base = SimConfig()
         reference_series, reference_completion = {}, {}
         for name, build in (("cwn", paper_cwn), ("gm", paper_gm)):
-            pilot = simulate(Fibonacci(fib_n), topo, build("grid"), config=base, seed=1)
+            pilot = Scenario(Fibonacci(fib_n), topo, build("grid"), config=base, seed=1).run()
             interval = max(pilot.completion_time / samples, 1.0)
-            res = simulate(
+            res = Scenario(
                 Fibonacci(fib_n),
                 topo,
                 build("grid"),
                 config=base.replace(sample_interval=interval),
                 seed=1,
-            )
+            ).run()
             reference_series[name] = [(s.time, 100.0 * s.utilization) for s in res.samples]
             reference_completion[name] = res.completion_time
 
@@ -322,7 +322,7 @@ class TestGoldenCurves:
         reference = {"cwn": [], "gm": []}
         for n in (7, 9):
             for strat, build in (("cwn", paper_cwn), ("gm", paper_gm)):
-                res = simulate(Fibonacci(n), topo, build("grid"), seed=1)
+                res = Scenario(Fibonacci(n), topo, build("grid"), seed=1).run()
                 reference[strat].append((res.total_goals, res.utilization_percent))
 
         curve = run_curve(topo, kind="fib", seed=1)
@@ -394,16 +394,15 @@ class TestGoldenQueryStream:
     def test_open_system_specs_have_distinct_cache_keys(self):
         closed = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
         stream = RunSpec(
-            "fib:9", "grid:4x4", "cwn", seed=1,
-            queries=3, arrival_spacing=50.0, arrival_pes=(0, 5, 10),
+            "fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(3, 50.0, (0, 5, 10))
         )
         assert closed.key() != stream.key()
         # Spacing is never read with one query (it arrives at t=0), so
         # it must not split the key ...
-        decorated = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrival_spacing=99.0)
+        decorated = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, 99.0))
         assert decorated.key() == closed.key()
-        # ... but arrival_pes places even a single query, so it must.
-        moved = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrival_pes=(7,))
+        # ... but pes places even a single query, so it must.
+        moved = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, pes=(7,)))
         assert moved.key() != closed.key()
         assert RunSpec.from_json(stream.to_json()) == stream
 
@@ -430,7 +429,7 @@ class TestGoldenReplication:
 
         factory = lambda: CWN(radius=3, horizon=1)
         reference = tuple(
-            float(simulate(Fibonacci(9), Grid(4, 4), factory(), seed=s).speedup)
+            float(Scenario(Fibonacci(9), Grid(4, 4), factory(), seed=s).run().speedup)
             for s in (1, 2, 3)
         )
         rep = replicate_metric(Fibonacci(9), Grid(4, 4), factory, seeds=(1, 2, 3))
@@ -452,7 +451,7 @@ class TestGoldenReplication:
 
         factory = lambda: CWN(radius=3, horizon=1, tie_break="lowest")
         reference = tuple(
-            float(simulate(Fibonacci(7), Grid(4, 4), factory(), seed=s).speedup)
+            float(Scenario(Fibonacci(7), Grid(4, 4), factory(), seed=s).run().speedup)
             for s in (1, 2)
         )
         rep = replicate_metric(Fibonacci(7), Grid(4, 4), factory, seeds=(1, 2), jobs=2)
@@ -491,7 +490,7 @@ class TestGoldenHypercube:
         cache = ResultCache(tmp_path)
         curves = run_hypercube_curves(dims=(3,), seed=1, cache=cache)
         assert [dim for dim, _ in curves] == [3]
-        reference = simulate(Fibonacci(7), Hypercube(3), paper_cwn("hypercube"), seed=1)
+        reference = Scenario(Fibonacci(7), Hypercube(3), paper_cwn("hypercube"), seed=1).run()
         assert curves[0][1].series["cwn"] == [
             (reference.total_goals, reference.utilization_percent)
         ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import STRATEGIES, KeepLocal, make_strategy
-from repro.experiments.runner import simulate
 from repro.scenario import Registry, Scenario
 from repro.topology import TOPOLOGIES, make as make_topology
 from repro.workload import WORKLOADS, make as make_workload
@@ -95,8 +94,8 @@ class TestPluginRegistration:
             # the scenario grammar, end to end through a real run
             sc = Scenario.from_spec("fib:9 @ grid:4x4 / eagerlocal?seed=1")
             assert sc.run().result_value == 34
-            # the legacy simulate shim
-            assert simulate("fib:9", "grid:4x4", "eagerlocal", seed=1).result_value == 34
+            # the scenario object, spelled by name
+            assert Scenario("fib:9", "grid:4x4", "eagerlocal", seed=1).run().result_value == 34
             # the CLI listing
             from repro.cli import main
 

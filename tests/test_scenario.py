@@ -6,9 +6,9 @@ Three contracts are load-bearing enough to pin exactly:
   byte-identical to the ones the old ``RunSpec`` produced (the literal
   digests below were captured from the PR-4 implementation), so warm
   result caches keep hitting across the redesign;
-* **golden equivalence** — the legacy ``simulate(...)`` signature, the
-  scenario object, and the spec grammar must all produce bit-identical
-  results;
+* **golden equivalence** — a machine wired by hand from the registries,
+  the scenario object, its farm spec, and the spec grammar must all
+  produce bit-identical results;
 * **round-tripping** — for every registered strategy/topology/workload,
   canonical spellings are fixed points and ``Scenario.from_spec`` is a
   hash-preserving inverse of ``Scenario.spec``.
@@ -22,7 +22,6 @@ import pytest
 from repro.core import CWN, STRATEGIES, make_strategy, spec_of as strategy_spec_of
 from repro.core import canonical_spec as canonical_strategy
 from repro.experiments.plan import LocalRun, planned_scenario
-from repro.experiments.runner import build_machine, simulate
 from repro.oracle.config import CostModel, SimConfig
 from repro.oracle.machine import Machine
 from repro.parallel import ResultCache, RunSpec, run_batch
@@ -68,13 +67,13 @@ GOLDEN_KEYS = [
           config=SimConfig(costs=CostModel.high_comm()), seed=4),
      "fae875c4929e9fefd671361e40569adc95894c399abfb7a7d8d20edd0de75f85"),
     (dict(workload="fib:12", topology="grid:8x8", strategy="cwn",
-          queries=4, arrival_spacing=150.0, seed=5),
+          arrivals=Arrivals(4, 150.0), seed=5),
      "9538b3ca5b842fb9f39b62ad40cbb6aa84bbdabf2427c9e14f3354a23961def4"),
     (dict(workload="fib:10", topology="grid:4x4", strategy="gm",
-          arrival_pes=(3,), queries=1),
+          arrivals=Arrivals(1, pes=(3,))),
      "ee3a83a5219662fcee0df7151f8cd9822f5fd64c48b4d22bea20112db871d7a9"),
     (dict(workload="fib:10", topology="grid:4x4", strategy="threshold",
-          arrival_times=(0.0, 50.0), queries=2),
+          arrivals=Arrivals(2, times=(0.0, 50.0))),
      "4129806aa1d63d3ca318eeccb3de7ee8b0c3d1fd051e5ff0c06759c85829883f"),
     (dict(workload="skewed:300:0.8", topology="ring:16", strategy="diffusion", seed=7),
      "652a024b49169824aaf4190758bc16d065761de61552e025e25016238e75f4f6"),
@@ -119,44 +118,54 @@ class TestGoldenEquivalence:
         dict(workload="dc:1:144", topology="dlm:4x4x4", strategy="gm", seed=1),
         dict(workload="fib:9", topology="hypercube:4", strategy="acwn", seed=2),
         dict(workload="fib:9", topology="grid:4x4", strategy="stealing",
-             seed=5, queries=3, arrival_spacing=120.0),
+             seed=5, arrivals=Arrivals(3, 120.0)),
         dict(workload="fib:8", topology="ring:8", strategy="threshold",
-             seed=4, queries=2, arrival_times=(0.0, 77.5), arrival_pes=(0, 5)),
+             seed=4, arrivals=Arrivals(2, times=(0.0, 77.5), pes=(0, 5))),
     ]
+
+    @staticmethod
+    def _machine(workload, topology, strategy, seed=None, arrivals=None):
+        """The case's machine wired by hand from the registries."""
+        topo = make_topology(topology)
+        return Machine(
+            topo,
+            make_workload(workload),
+            make_strategy(strategy, family=topo.family),
+            SimConfig(seed=seed or 0),
+            arrivals=arrivals,
+        )
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: c["strategy"])
     def test_simulate_equals_scenario_run(self, case):
-        legacy = simulate(**case)
-        via_scenario = Scenario.of(**case).run()
-        via_spec = RunSpec.build(**case).run()
-        assert_results_equal(legacy, via_scenario)
-        assert_results_equal(legacy, via_spec)
+        direct = self._machine(**case).run()
+        scenario = Scenario(**case)
+        assert_results_equal(direct, scenario.run())
+        assert_results_equal(direct, RunSpec.from_scenario(scenario).run())
+        assert_results_equal(direct, Scenario.from_spec(scenario.spec).run())
 
     def test_build_machine_is_scenario_build(self):
-        machine = build_machine("fib:9", "grid:4x4", "cwn", queries=2,
-                                arrival_spacing=10.0)
-        twin = Scenario.of("fib:9", "grid:4x4", "cwn", queries=2,
-                           arrival_spacing=10.0).build()
+        machine = self._machine("fib:9", "grid:4x4", "cwn", arrivals=Arrivals(2, 10.0))
+        twin = Scenario("fib:9", "grid:4x4", "cwn", arrivals=Arrivals(2, 10.0)).build()
         assert machine.arrivals == twin.arrivals
         assert machine.strategy.radius == twin.strategy.radius
         assert machine.topology.n == twin.topology.n
 
     def test_from_spec_runs_identically(self):
-        legacy = simulate("fib:10", "grid:4x4", "cwn", seed=2)
+        direct = Scenario("fib:10", "grid:4x4", "cwn", seed=2).run()
         parsed = Scenario.from_spec("fib:10 @ grid:4x4 / cwn?seed=2").run()
-        assert_results_equal(legacy, parsed)
+        assert_results_equal(direct, parsed)
 
 
 class TestSpecGrammar:
     def test_canonical_spec_string(self):
-        sc = Scenario.of("FIB:15", "grid:10x10", "cwn")
+        sc = Scenario("FIB:15", "grid:10x10", "cwn")
         assert sc.spec == "fib:15 @ grid:10x10 / cwn:radius=9,horizon=2"
 
     def test_overrides_round_trip(self):
-        sc = Scenario.of(
+        sc = Scenario(
             "fib:12", "grid:8x8", "gm",
             config=SimConfig(load_info="periodic", costs=CostModel(word_time=10.0)),
-            seed=9, start_pe=3, queries=4, arrival_spacing=150.0,
+            seed=9, start_pe=3, arrivals=Arrivals(4, 150.0),
         )
         text = sc.spec
         assert "?" in text
@@ -165,8 +174,8 @@ class TestSpecGrammar:
         assert again.spec == text  # emission is a fixed point
 
     def test_times_and_pes_round_trip(self):
-        sc = Scenario.of("fib:10", "grid:4x4", "cwn", queries=2,
-                         arrival_times=(0.0, 50.25), arrival_pes=(1, 9), seed=1)
+        sc = Scenario("fib:10", "grid:4x4", "cwn", seed=1,
+                      arrivals=Arrivals(2, times=(0.0, 50.25), pes=(1, 9)))
         again = Scenario.from_spec(sc.spec)
         assert again.arrivals == sc.arrivals.canonical()
         assert again.content_hash() == sc.content_hash()
@@ -199,9 +208,26 @@ class TestSpecGrammar:
         assert Scenario.from_spec("fib:9 @ grid:4x4 / cwn?cfg.seed=7").seed == 7
         assert Scenario.from_spec("fib:9 @ grid:4x4 / cwn").seed is None
 
+    @pytest.mark.parametrize("query", [
+        "queries=2&times=0;nan", "queries=2&times=0;inf", "queries=2&spacing=inf",
+        "queries=2&spacing=nan", "cost.leaf_work=nan", "cost.word_time=inf",
+        "cfg.load_info_delay=nan", "cfg.load_info_interval=inf", "cfg.sample_interval=nan",
+    ])
+    def test_non_finite_numbers_rejected(self, query):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario.from_spec(f"fib:9 @ grid:2x2 / cwn?{query}")
+
+    @pytest.mark.parametrize("query,message", [
+        ("start=7", "start_pe 7 outside 0..3"),
+        ("queries=2&pes=0;9", "valid PE"),
+    ])
+    def test_out_of_range_pes_fail_the_hash_not_the_run(self, query, message):
+        sc = Scenario.from_spec(f"fib:9 @ grid:2x2 / cwn?{query}")
+        with pytest.raises(ValueError, match=message):
+            sc.content_hash()
+
     def test_pe_speeds_has_no_spelling(self):
-        sc = Scenario.of("fib:9", "grid:4x4", "cwn",
-                         config=SimConfig(pe_speeds=(1.0,) * 16))
+        sc = Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(pe_speeds=(1.0,) * 16))
         with pytest.raises(ValueError, match="pe_speeds"):
             _ = sc.spec
 
@@ -214,7 +240,7 @@ class TestRegistryRoundTrips:
             built = make_strategy(name)
             spelled = strategy_spec_of(built)
             assert canonical_strategy(spelled) == spelled
-            sc = Scenario.of("fib:9", "grid:4x4", name, seed=1)
+            sc = Scenario("fib:9", "grid:4x4", name, seed=1)
             assert Scenario.from_spec(sc.spec).content_hash() == sc.content_hash()
 
     def test_every_topology_example_is_canonical(self):
@@ -223,7 +249,7 @@ class TestRegistryRoundTrips:
             built = make_topology(example)
             spelled = topology_spec_of(built)
             assert topology_spec_of(make_topology(spelled)) == spelled
-            sc = Scenario.of("fib:9", example, "local", seed=1)
+            sc = Scenario("fib:9", example, "local", seed=1)
             assert Scenario.from_spec(sc.spec).content_hash() == sc.content_hash()
 
     def test_every_workload_example_is_canonical(self):
@@ -232,15 +258,16 @@ class TestRegistryRoundTrips:
             built = make_workload(example)
             spelled = workload_spec_of(built)
             assert workload_spec_of(make_workload(spelled)) == spelled
-            sc = Scenario.of(example, "grid:4x4", "local", seed=1)
+            sc = Scenario(example, "grid:4x4", "local", seed=1)
             assert Scenario.from_spec(sc.spec).content_hash() == sc.content_hash()
 
 
 class TestArrivals:
     def test_from_args_normalizes_sequences(self):
-        a = Arrivals.from_args(2, 0.0, [0, 1], None)
+        a = Arrivals(2, 0.0, [0, 1], None)
         assert a.pes == (0, 1) and isinstance(a.pes, tuple)
-        assert Arrivals.from_args(2, 0.0, (0, 1), None) == a
+        assert Arrivals(2, 0.0, (0, 1), None) == a
+        assert Arrivals(2, times=[0, 5]).times == (0.0, 5.0)
 
     def test_validation_lives_in_one_place(self):
         with pytest.raises(ValueError, match="queries"):
@@ -261,21 +288,21 @@ class TestArrivals:
         assert Arrivals(2, 99.0).canonical() == Arrivals(2, 99.0)
 
     def test_machine_accepts_arrivals_value(self, grid4, fast_config):
-        legacy = Scenario.of(Fibonacci(9), grid4, CWN(radius=3, horizon=1),
-                             fast_config, queries=2, arrival_spacing=50.0).build()
+        built = Scenario(Fibonacci(9), grid4, CWN(radius=3, horizon=1), fast_config,
+                         arrivals=Arrivals(2, 50.0)).build()
         bundled = Machine(Grid(4, 4), Fibonacci(9), CWN(radius=3, horizon=1),
                           fast_config, arrivals=Arrivals(2, 50.0))
-        assert legacy.arrivals == bundled.arrivals
-        assert_results_equal(legacy.run(), bundled.run())
+        assert built.arrivals == bundled.arrivals
+        assert_results_equal(built.run(), bundled.run())
 
     def test_machine_rejects_both_spellings(self, grid4, fast_config):
-        """Machine takes ``arrivals=`` only; Scenario.of takes either."""
+        """Machine and Scenario take ``arrivals=`` only, never loose knobs."""
         with pytest.raises(TypeError, match="queries"):
             Machine(grid4, Fibonacci(9), CWN(radius=3, horizon=1), fast_config,
                     queries=2, arrivals=Arrivals(2, 50.0))
-        with pytest.raises(ValueError, match="not both"):
-            Scenario.of(Fibonacci(9), grid4, CWN(radius=3, horizon=1), fast_config,
-                        queries=2, arrivals=Arrivals(2, 50.0))
+        with pytest.raises(TypeError, match="queries"):
+            Scenario(Fibonacci(9), grid4, CWN(radius=3, horizon=1), fast_config,
+                     queries=2)
 
     def test_machine_still_checks_pe_range(self, grid4, fast_config):
         with pytest.raises(ValueError, match="valid PE"):
@@ -289,14 +316,14 @@ class TestArrivals:
 
 class TestScenarioObjects:
     def test_objects_are_spelled_canonically(self):
-        sc = Scenario.of(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1))
+        sc = Scenario(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1))
         spelled = sc.spelled()
         assert spelled.workload == "fib:9"
         assert spelled.topology == "grid:4x4"
         assert spelled.strategy == "cwn:radius=3,horizon=1"
 
     def test_unspellable_objects_degrade_to_local_runs(self):
-        sc = Scenario.of(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"))
+        sc = Scenario(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"))
         with pytest.raises(ValueError):
             sc.spelled()
         run = planned_scenario(sc)
@@ -305,18 +332,16 @@ class TestScenarioObjects:
         assert run.thunk().result_value == 34
 
     def test_spellable_objects_become_runspecs(self):
-        run = planned_scenario(Scenario.of(Fibonacci(9), Grid(4, 4), "cwn", seed=1))
+        run = planned_scenario(Scenario(Fibonacci(9), Grid(4, 4), "cwn", seed=1))
         assert isinstance(run, RunSpec)
         assert run.workload == "fib:9"
 
     def test_dict_round_trip_preserves_hash(self):
-        sc = Scenario.of("fib:10", "grid:4x4", "cwn", seed=2, queries=2,
-                         arrival_spacing=30.0)
+        sc = Scenario("fib:10", "grid:4x4", "cwn", seed=2, arrivals=Arrivals(2, 30.0))
         again = Scenario.from_dict(sc.to_dict())
         assert again == sc
         assert again.content_hash() == sc.content_hash()
 
     def test_runspec_scenario_round_trip(self):
-        spec = RunSpec("fib:10", "grid:4x4", "cwn", seed=2, queries=2,
-                       arrival_spacing=30.0)
+        spec = RunSpec("fib:10", "grid:4x4", "cwn", seed=2, arrivals=Arrivals(2, 30.0))
         assert RunSpec.from_scenario(spec.scenario()) == spec

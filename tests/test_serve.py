@@ -44,6 +44,8 @@ from repro.serve import (
 from repro.serve.protocol import BadRequest
 
 SPEC = "fib:8 @ grid:2x2 / cwn"
+#: specs that parse but name PEs outside the 2x2 machine
+OUT_OF_RANGE = ("fib:9 @ grid:2x2 / cwn?start=7", "fib:9 @ grid:2x2 / cwn?queries=2&pes=0;9")
 OTHER = "fib:9 @ grid:2x2 / cwn"
 
 
@@ -295,6 +297,11 @@ class TestService:
                     await service.submit("total nonsense")
                 with pytest.raises(ValueError):
                     await service.submit("fib:8 @ grid:2x2 / no-such-strategy")
+                # PEs outside the machine are client errors too, caught
+                # before dispatch rather than failing in a worker.
+                for spec in OUT_OF_RANGE:
+                    with pytest.raises(ValueError):
+                        await service.submit(spec)
                 # The service keeps serving after rejected specs.
                 return await service.submit(SPEC)
             finally:
@@ -413,7 +420,10 @@ class TestHttpFront:
                     port, "POST", "/run", json.dumps({"spec": SPEC}).encode()
                 )
                 run2 = await _http(port, "POST", "/run", SPEC.encode())
-                bad = await _http(port, "POST", "/run", b"garbage !!!")
+                bad = [
+                    await _http(port, "POST", "/run", body.encode())
+                    for body in ("garbage !!!", *OUT_OF_RANGE)
+                ]
                 missing = await _http(port, "GET", "/nowhere")
                 wrong_method = await _http(port, "GET", "/run")
                 stats = await _http(port, "GET", "/stats")
@@ -426,10 +436,10 @@ class TestHttpFront:
         assert run1[0] == 200 and run1[1]["source"] == "computed"
         assert run2[0] == 200 and run2[1]["source"] == "cache"
         assert run1[1]["result"] == run2[1]["result"]
-        assert bad[0] == 400 and "error" in bad[1]
+        assert all(status == 400 and "error" in body for status, body in bad)
         assert missing[0] == 404
         assert wrong_method[0] == 405
-        # The malformed spec fails at parse, before the counter: only
+        # The bad specs fail at parse or hash, before the counter: only
         # the two served runs count.
         assert stats[0] == 200 and stats[1]["requests"] == 2
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import simulate
 from repro.experiments.svg import svg_spacetime
 from repro.oracle.config import SimConfig
+from repro.scenario import Scenario
 
 
 def sample_run():
     cfg = SimConfig(seed=1, sample_interval=40.0, sample_per_pe=True)
-    return simulate("fib:11", "grid:5x5", "cwn", config=cfg)
+    return Scenario("fib:11", "grid:5x5", "cwn", config=cfg).run()
 
 
 class TestSvgSpacetime:

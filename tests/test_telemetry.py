@@ -156,10 +156,7 @@ class TestInstrumentation:
         from repro.oracle.config import SimConfig
         from repro.scenario import Scenario
 
-        scenario = Scenario.of(
-            "fib:9", "grid:4x4", "cwn", config=SimConfig(seed=1, **cfg_kwargs)
-        )
-        return scenario.run()
+        return Scenario("fib:9", "grid:4x4", "cwn", SimConfig(seed=1, **cfg_kwargs)).run()
 
     def test_machine_emits_run_lifecycle(self):
         with telemetry.capture() as sink:
@@ -204,7 +201,7 @@ class TestInstrumentation:
     def test_cache_emits_hits_and_misses(self, tmp_path):
         from repro.parallel import ResultCache, RunSpec
 
-        spec = RunSpec.build("fib:9", "grid:4x4", "cwn", seed=1)
+        spec = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
         cache = ResultCache(tmp_path / "cache")
         with telemetry.capture() as sink:
             assert cache.get(spec) is None
@@ -215,12 +212,13 @@ class TestInstrumentation:
         assert cache_events == ["cache.miss", "cache.hit"]
 
     def test_batch_and_plan_events(self, tmp_path):
-        from repro.experiments.plan import ExperimentPlan, execute, planned_run
+        from repro.experiments.plan import ExperimentPlan, execute
         from repro.parallel import ResultCache
+        from repro.scenario import Scenario
 
-        plan = ExperimentPlan(
+        plan = ExperimentPlan.from_scenarios(
             "obs-test",
-            tuple(planned_run("fib:9", "grid:4x4", "cwn", seed=s) for s in (1, 2)),
+            [Scenario("fib:9", "grid:4x4", "cwn", seed=s) for s in (1, 2)],
             lambda results, _meta: list(results),
         )
         cache = ResultCache(tmp_path / "cache")
