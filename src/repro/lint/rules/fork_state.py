@@ -1,6 +1,7 @@
 """fork-unsafe-state — no mutated module-level containers in worker code.
 
-The farm (:mod:`repro.parallel`) forks worker processes; every module
+The one worker pool (:class:`repro.parallel.WorkerFleet`, behind both
+the farm and ``repro serve``) forks worker processes; every module
 already imported at fork time is shared copy-on-write.  A module-level
 dict/list/set that code later mutates is a triple hazard: the mutation
 dirties COW pages in every worker (memory blow-up), state written
@@ -31,8 +32,8 @@ _SCOPE = (
     "repro/scenario/",
     "repro/parallel/",
     "repro/experiments/",
-    # The serve fleet forks workers exactly like the farm does, so the
-    # same copy-on-write hazard applies to everything it imports.
+    # repro serve runs the farm's WorkerFleet, so everything the service
+    # imports is forked into the same workers.
     "repro/serve/",
 )
 

@@ -15,7 +15,7 @@ the conclusion calls for.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Mapping
 
 __all__ = ["CostModel", "SimConfig"]
@@ -162,7 +162,7 @@ class CostModel:
 
     def to_dict(self) -> dict[str, float]:
         """JSON-serializable form (the :mod:`repro.parallel` spec format)."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, float]) -> "CostModel":
@@ -273,9 +273,10 @@ class SimConfig:
 
         The canonical config serialization used by :mod:`repro.parallel`
         run specs and the on-disk result cache.  :meth:`from_dict` is the
-        exact inverse (``from_dict(to_dict(c)) == c``).
+        exact inverse (``from_dict(to_dict(c)) == c``).  Built field by
+        field: ``asdict`` would deep-copy scalars for every task the farm ships.
         """
-        data = asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["costs"] = self.costs.to_dict()
         if self.pe_speeds is not None:
             data["pe_speeds"] = list(self.pe_speeds)

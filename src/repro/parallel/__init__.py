@@ -8,8 +8,10 @@ makes such bags cheap:
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, an on-disk store
   addressed by the spec hash (atomic writes, schema-versioned,
   ``REPRO_CACHE_DIR`` relocatable);
-* :mod:`repro.parallel.pool` — :func:`run_many`, a ``multiprocessing``
-  farm whose output is bit-identical to serial execution;
+* :mod:`repro.parallel.pool` — :class:`WorkerFleet`, the one pool of
+  worker processes (``repro serve`` keeps one warm), and
+  :func:`run_many`, which farms specs over a fleet with output
+  bit-identical to serial execution;
 * :mod:`repro.parallel.orchestrator` — :func:`run_batch`, resumable
   batches: cache hits skipped, failures retried, every completed run
   persisted immediately.
@@ -38,7 +40,7 @@ from .cache import (
     result_to_dict,
 )
 from .orchestrator import BatchReport, run_batch
-from .pool import FarmError, RunFailure, resolve_jobs, run_many, warm_worker
+from .pool import FarmError, RunFailure, WorkerFleet, resolve_jobs, run_many
 from .spec import SPEC_SCHEMA, RunSpec
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "RunFailure",
     "RunSpec",
     "SPEC_SCHEMA",
+    "WorkerFleet",
     "default_cache_dir",
     "resolve_jobs",
     "result_from_dict",
@@ -57,5 +60,4 @@ __all__ = [
     "result_to_dict",
     "run_batch",
     "run_many",
-    "warm_worker",
 ]

@@ -310,7 +310,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # dumps, not dump: only the one-shot encoder is the C one,
+                # and the farm's parent writes one entry per result.
+                handle.write(json.dumps(payload))
             os.replace(tmp_name, path)
         except BaseException:
             try:

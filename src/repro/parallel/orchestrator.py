@@ -149,11 +149,11 @@ def run_batch(
                 on_result=persist,
             )
         else:
-            # Isolated retries: one spec per fresh single-worker pool.
-            # A spec whose worker died takes the whole pool (and every
-            # batch-mate's pending result) down with it, so retrying the
-            # survivors alongside it would fail them forever; alone,
-            # each spec's fate is its own.
+            # Isolated retries: one spec per fresh single-worker fleet,
+            # never in this process, where a spec that killed its worker
+            # would kill the caller instead.  A dead worker no longer
+            # takes its batch-mates down (the fleet fails only the spec
+            # it died on), so each retry's fate is its own spec's.
             outcome = []
             for pos, i in enumerate(batch):
                 outcome.extend(

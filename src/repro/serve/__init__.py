@@ -8,7 +8,7 @@ fleet by a pluggable policy adapted from the paper's load-balancing
 strategies.
 """
 
-from .fleet import WorkerFleet, fleet_worker_main
+from ..parallel.pool import WorkerFleet
 from .policy import (
     POLICY_NAMES,
     CentralPolicy,
@@ -55,7 +55,6 @@ __all__ = [
     "WorkerFleet",
     "build_server",
     "error_body",
-    "fleet_worker_main",
     "http_response",
     "load_stream",
     "make_policy",

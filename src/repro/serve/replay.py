@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..parallel.cache import ResultCache
-from .fleet import WorkerFleet
+from ..parallel.pool import WorkerFleet
 from .policy import POLICY_NAMES, make_policy
 from .service import ScenarioService
 

@@ -26,7 +26,7 @@ from typing import Any, TextIO
 
 from ..obs import telemetry as _telemetry
 from ..parallel.cache import ResultCache
-from .fleet import WorkerFleet
+from ..parallel.pool import WorkerFleet
 from .policy import make_policy
 from .protocol import (
     BadRequest,

@@ -34,9 +34,9 @@ from typing import Any
 
 from ..obs import telemetry as _telemetry
 from ..parallel.cache import ResultCache, result_from_dict, result_to_dict
+from ..parallel.pool import WorkerFleet
 from ..parallel.spec import RunSpec
 from ..scenario import Scenario
-from .fleet import WorkerFleet
 from .policy import ServePolicy
 
 __all__ = ["Busy", "ComputeError", "ScenarioService", "ServeStats", "Submitted"]
@@ -97,7 +97,6 @@ class _Entry:
     spec_text: str
     run_spec: RunSpec
     future: "asyncio.Future[dict[str, Any]]"
-    worker: int | None = None
     admitted: float = field(default_factory=time.perf_counter)
 
 
@@ -301,7 +300,6 @@ class ScenarioService:
                         Busy("every fleet queue is at capacity")
                     )
                 return
-        entry.worker = worker
         self._by_task[task_id] = entry
         self.stats.dispatched += 1
         if tele is not None:
@@ -320,8 +318,6 @@ class ScenarioService:
         while True:
             item = await loop.run_in_executor(None, self.fleet.next_result, 0.2)
             if item is None:
-                if self._by_task:
-                    self._fail_dead_workers()
                 continue
             task_id, worker, ok, payload = item
             self.policy.completed(worker)
@@ -361,26 +357,6 @@ class ScenarioService:
                 )
             if not entry.future.done():
                 entry.future.set_exception(ComputeError(str(payload)))
-
-    def _fail_dead_workers(self) -> None:
-        dead = self.fleet.fail_dead_workers()
-        if not dead:
-            return
-        lost = [
-            (task_id, entry)
-            for task_id, entry in self._by_task.items()
-            if entry.worker in dead
-        ]
-        for task_id, entry in lost:
-            del self._by_task[task_id]
-            self._inflight.pop(entry.key, None)
-            self.stats.errors += 1
-            if not entry.future.done():
-                entry.future.set_exception(
-                    ComputeError(
-                        f"fleet worker {entry.worker} died with this task in flight"
-                    )
-                )
 
 
 def _ms_since(start: float) -> float:

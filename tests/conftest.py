@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -40,6 +42,55 @@ def _no_ambient_telemetry():
         os.environ["REPRO_TELEMETRY"] = previous
 from repro.topology import Complete, DoubleLatticeMesh, Grid, Hypercube, Ring
 from repro.workload import DivideConquer, Fibonacci
+
+
+@pytest.fixture
+def wall_clock_guard():
+    """Arm with ``wall_clock_guard(seconds)``: past it the test fails, never hangs.
+
+    SIGALRM interrupts the main thread wherever it blocks (a pipe read,
+    a process join, an event loop), raising :class:`TimeoutError`.
+    Forked children do not inherit the timer.
+    """
+    previous = signal.getsignal(signal.SIGALRM)
+
+    def arm(seconds: float) -> None:
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    yield arm
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def kill_in_child(monkeypatch):
+    """``kill_in_child(owner, name, when)``: a forked worker SIGKILLs itself.
+
+    Patches method ``owner.name`` so that, in any process other than
+    this one, a call for which ``when(self)`` holds kills its own
+    process — no exception, no reply, as an OOM kill would.  The patch
+    reaches workers only by being inherited through fork, so the test is
+    skipped where fork is unavailable; this process never dies.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the kill patch reaches workers only through fork")
+    parent = os.getpid()
+
+    def patch(owner, name, when) -> None:
+        original = getattr(owner, name)
+
+        def dying(self, *args, **kwargs):
+            if os.getpid() != parent and when(self):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, dying)
+
+    return patch
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from repro.parallel import (
     ResultCache,
     RunSpec,
     FarmError,
+    WorkerFleet,
     run_batch,
     run_many,
 )
@@ -229,7 +230,7 @@ class TestRunMany:
     ):
         """Every start method gives bit-identical results, and workers
         join the telemetry stream — trivially under fork (the sink rides
-        the fork), via ``warm_worker``'s ``init_from_env`` under
+        the fork), via the worker's ``init_from_env`` at birth under
         spawn/forkserver (a spawned worker starts from a blank module).
         """
         if start_method not in multiprocessing.get_all_start_methods():
@@ -237,16 +238,20 @@ class TestRunMany:
         stream = tmp_path / "farm-telemetry.jsonl"
         monkeypatch.setenv("REPRO_TELEMETRY", str(stream))
         serial = [spec.run() for spec in SPECS[:2]]  # no parent sink: silent
-        farmed = run_many(SPECS[:2], jobs=2, start_method=start_method)
-        for a, b in zip(farmed, serial):
-            assert_results_equal(a, b)
+        with WorkerFleet(workers=2, start_method=start_method) as fleet:
+            for task_id, spec in enumerate(SPECS[:2]):
+                fleet.submit(task_id, task_id, spec.to_json())
+            answers = [fleet.next_result(timeout=60) for _ in SPECS[:2]]
+        farmed = {task_id: result_from_dict(payload) for task_id, _, _, payload in answers}
+        for task_id, b in enumerate(serial):
+            assert_results_equal(farmed[task_id], b)
         events = [json.loads(line) for line in stream.read_text().splitlines()]
         finishes = [e for e in events if e["ev"] == "run.finish"]
         assert len(finishes) == 2, "one run.finish per spec, from the workers"
 
     def test_unknown_start_method_is_rejected(self):
         with pytest.raises(ValueError, match="not available"):
-            run_many(SPECS[:2], jobs=2, start_method="bogus")
+            WorkerFleet(workers=2, start_method="bogus")
 
     def test_order_is_preserved(self):
         farmed = run_many(SPECS, jobs=2)
@@ -279,30 +284,38 @@ class TestRunMany:
         assert cache.stats().entries == len(SPECS)
 
 
-class _WorkerKillerSpec(RunSpec):
+#: the seed of the one spec whose run SIGKILLs its worker
+KILL_SEED = 9
+
+
+@pytest.fixture
+def killer(kill_in_child, wall_clock_guard):
     """A spec whose run SIGKILLs its worker — no exception, no result."""
-
-    def run(self):
-        import os
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
+    wall_clock_guard(120)
+    kill_in_child(RunSpec, "run", lambda spec: spec.seed == KILL_SEED)
+    return RunSpec("fib:9", "grid:5x5", "cwn", seed=KILL_SEED)
 
 
 class TestWorkerDeath:
-    def test_killed_worker_fails_its_specs_instead_of_hanging(self):
-        killer = _WorkerKillerSpec("fib:9", "grid:5x5", "cwn", seed=9)
+    def test_killed_worker_fails_its_specs_instead_of_hanging(self, killer):
         out = run_many([SPECS[0], killer, SPECS[1]], jobs=2, return_errors=True)
         from repro.parallel import RunFailure
 
         assert isinstance(out[1], RunFailure)
         assert "worker process died" in out[1].error
-        # Neighbors either completed or were lost with the pool — but
-        # every slot is accounted for; nothing blocks forever.
+        # Every slot is accounted for; nothing blocks forever.
         assert all(r is not None for r in out)
 
-    def test_run_batch_retries_recover_the_survivors(self, tmp_path):
-        killer = _WorkerKillerSpec("fib:9", "grid:5x5", "cwn", seed=9)
+    def test_batch_mates_of_a_killed_worker_complete(self, killer):
+        # The fleet fails only the spec a worker died on; the respawned
+        # worker runs the rest of its queue.
+        batch = SPECS[:2] + [killer] + SPECS[2:]
+        out = run_many(batch, jobs=2, return_errors=True)
+        assert "worker process died" in out[2].error
+        for got, spec in zip(out[:2] + out[3:], SPECS):
+            assert_results_equal(got, spec.run())
+
+    def test_run_batch_retries_recover_the_survivors(self, killer, tmp_path):
         report = run_batch(
             [SPECS[0], killer, SPECS[1]],
             jobs=2,
@@ -310,8 +323,7 @@ class TestWorkerDeath:
             retries=2,
             strict=False,
         )
-        # The good specs land (on the first attempt or via retry with a
-        # fresh pool); only the killer remains failed.
+        # The good specs land; only the killer remains failed.
         assert report.results[0] is not None
         assert report.results[2] is not None
         assert report.results[1] is None

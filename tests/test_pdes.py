@@ -3,15 +3,21 @@
 The end-to-end bit-identity contract lives in
 ``test_kernel_golden.py::TestShardedGolden``; this module covers the
 pieces with meaningful behavior of their own — the :class:`Partition`
-block map, the lookahead computation, and the shardability gate.
+block map, the lookahead computation, the shardability gate, and the
+coordinator's answer to a shard that dies mid-window.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+
 import pytest
 
 from repro.oracle.config import SimConfig
-from repro.pdes import NotShardable, Partition, check_shardable, lookahead_of
+from repro.oracle.engine import SimulationError
+from repro.pdes import NotShardable, Partition, check_shardable, lookahead_of, run_sharded
+from repro.pdes.shard import ShardWorker
 from repro.scenario import Scenario
 from repro.topology import Grid, Hypercube, Ring
 
@@ -151,3 +157,18 @@ class TestCheckShardable:
         sc = Scenario(workload="fib:8", topology="dlm:4x4x4", strategy="cwn")
         partition, _ = check_shardable(sc, 4)
         assert partition.boundary_channels
+
+
+class TestShardDeath:
+    def test_killed_shard_fails_the_run_and_leaves_no_child(
+        self, kill_in_child, wall_clock_guard
+    ):
+        wall_clock_guard(60)
+        calls = itertools.count(1)  # each shard process counts its own copy
+        kill_in_child(
+            ShardWorker, "run_window", lambda worker: worker.shard == 1 and next(calls) == 5
+        )
+        scenario = Scenario.from_spec("fib:12 @ grid:8x8 / cwn?seed=1")
+        with pytest.raises(SimulationError, match=r"shard 1 died without a reply during window \d+"):
+            run_sharded(scenario, 2)
+        assert multiprocessing.active_children() == []

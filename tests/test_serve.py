@@ -18,15 +18,17 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import sys
 
 import pytest
 
 from repro.parallel import RunSpec, result_json
 from repro.parallel.cache import ResultCache
-from repro.scenario import Scenario
+from repro.scenario import Arrivals, Scenario
 from repro.serve import (
     POLICY_NAMES,
     Busy,
+    ComputeError,
     ReplayRequest,
     ScenarioService,
     WorkerFleet,
@@ -204,6 +206,25 @@ class TestFleet:
             assert task_id == 2 and ok
             assert fleet.alive() == [True]
 
+    def test_tasks_and_results_larger_than_a_pipe_never_block(self, wall_clock_guard):
+        # Each task and each result overflows a 64 KiB pipe.  A task past
+        # the write-ahead budget waits until its worker's pipe is empty, so
+        # submit never blocks on a worker that is blocked sending a result.
+        wall_clock_guard(60)
+        times = tuple(float(t) for t in range(9000))
+        specs = [
+            RunSpec("fib:1", "grid:2x2", "cwn", seed=seed, arrivals=Arrivals(len(times), times=times))
+            for seed in (1, 2)
+        ]
+        from repro.parallel.cache import result_to_dict
+
+        with WorkerFleet(workers=1) as fleet:
+            for task_id, spec in enumerate(specs):
+                fleet.submit(0, task_id, spec.to_json())
+            answers = [fleet.next_result(timeout=60) for _ in specs]
+        assert [answer[:3] for answer in answers] == [(0, 0, True), (1, 0, True)]
+        assert answers[1][3] == result_to_dict(specs[1].run())
+
     def test_validates_shape(self):
         with pytest.raises(ValueError):
             WorkerFleet(workers=0)
@@ -220,7 +241,7 @@ class TestFleet:
 def _service(tmp_path=None, **kw):
     kw.setdefault("window", 0.005)
     cache = None if tmp_path is None else ResultCache(tmp_path)
-    fleet = WorkerFleet(workers=kw.pop("workers", 1))
+    fleet = WorkerFleet(workers=kw.pop("workers", 1), queue_depth=kw.pop("queue_depth", 64))
     return ScenarioService(
         fleet, make_policy(kw.pop("policy", "central"), fleet.workers), cache=cache, **kw
     )
@@ -384,6 +405,108 @@ class TestService:
             ScenarioService(fleet, policy, max_batch=0)
         with pytest.raises(ValueError):
             ScenarioService(fleet, policy, high_water=0)
+
+
+# -- a worker killed mid-request -------------------------------------------------
+
+#: the seed of the one request whose run SIGKILLs its worker
+KILL_SEED = 3
+
+
+@pytest.fixture
+def killing(kill_in_child, wall_clock_guard):
+    """A request with seed ``KILL_SEED`` SIGKILLs the worker running it."""
+    wall_clock_guard(120)
+    kill_in_child(RunSpec, "run", lambda spec: spec.seed == KILL_SEED)
+
+
+def _direct(spec: str) -> str:
+    return result_json(Scenario.from_spec(spec).seeded().run())
+
+
+@pytest.mark.usefixtures("killing")
+class TestKilledWorker:
+    def test_respawned_worker_serves_the_requests_that_follow(self, tmp_path):
+        specs = [f"fib:7 @ grid:2x2 / cwn?seed={seed}" for seed in range(1, 20)]
+        killed = specs.index(f"fib:7 @ grid:2x2 / cwn?seed={KILL_SEED}")
+
+        async def go():
+            server = build_server(port=0, workers=2, window=0.005)
+            server.service.cache = ResultCache(tmp_path)
+            fleet = server.service.fleet
+            answered = []  # (worker, ok) of every task, in fleet order
+            next_result = fleet.next_result
+
+            def watch(timeout=None):
+                item = next_result(timeout)
+                if item is not None:
+                    answered.append(item[1:3])
+                return item
+
+            fleet.next_result = watch
+            await server.start()
+            try:
+                replies = [
+                    await _http(server.port, "POST", "/run", spec.encode()) for spec in specs
+                ]
+                alive = fleet.alive()
+            finally:
+                await server.stop()
+            return replies, answered, alive
+
+        replies, answered, alive = asyncio.run(go())
+        status, body = replies[killed]
+        assert status == 500 and "worker process died" in body["error"]
+        for spec, (status, body) in zip(specs, replies):
+            if spec != specs[killed]:
+                assert status == 200
+                assert json.dumps(body["result"], sort_keys=True, separators=(",", ":")) == (
+                    _direct(spec)
+                )
+        # Sequential requests all go to the least-loaded worker 0, the
+        # one that died: its successor answers all 16 that follow.
+        assert answered[killed] == (0, False)
+        assert answered[killed + 1 :] == [(0, True)] * 16
+        assert alive == [True, True]
+
+    def test_burst_loses_only_the_killed_request(self, tmp_path):
+        specs = [f"fib:5 @ grid:2x2 / cwn?seed={seed}" for seed in range(1, 401)]
+        killer = f"fib:5 @ grid:2x2 / cwn?seed={KILL_SEED}"
+
+        async def go():
+            service = _service(tmp_path, workers=2, queue_depth=512, high_water=512)
+            finished = []  # (spec, answer or error), in the order they end
+
+            async def one(spec):
+                try:
+                    finished.append((spec, await service.submit(spec)))
+                except ComputeError as exc:
+                    finished.append((spec, exc))
+
+            await service.start()
+            try:
+                await asyncio.gather(*(one(spec) for spec in specs))
+            finally:
+                await service.stop()
+            return finished
+
+        # The event loop submits while the pump thread takes results and
+        # respawns: switch threads often to shake out unguarded fleet state.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            finished = asyncio.run(go())
+        finally:
+            sys.setswitchinterval(interval)
+        failed = [spec for spec, outcome in finished if isinstance(outcome, ComputeError)]
+        assert failed == [killer]
+        assert "worker process died" in str(dict(finished)[killer])
+        # The death is handled when it happens, not when the burst goes quiet.
+        assert [spec for spec, _ in finished].index(killer) < len(specs) - 1
+        for spec, outcome in finished:
+            if spec != killer:
+                served = json.dumps(outcome.result, sort_keys=True, separators=(",", ":"))
+                assert served == _direct(spec)
 
 
 # -- the HTTP front --------------------------------------------------------------
