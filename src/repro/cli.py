@@ -528,11 +528,9 @@ def _scenario_from_args(args: argparse.Namespace):
 
 def _plan_scenario(scenario, jobs: "int | None", cache: object):
     """Run one Scenario through the plan engine."""
-    from .experiments.plan import ExperimentPlan, execute, planned_scenario
+    from .experiments.plan import ExperimentPlan, execute
 
-    plan = ExperimentPlan(
-        "run", (planned_scenario(scenario),), lambda results, _meta: results[0]
-    )
+    plan = ExperimentPlan("run", (scenario,), lambda results, _meta: results[0])
     return execute(plan, jobs=jobs, cache=cache)
 
 
@@ -738,7 +736,7 @@ def _cmd_zoo(args: argparse.Namespace) -> None:
         "symmetric", "bidding", "diffusion", "randomwalk", "central",
         "random", "roundrobin", "local",
     )
-    plan = ExperimentPlan.from_scenarios(
+    plan = ExperimentPlan(
         "zoo",
         tuple(
             Scenario(f"fib:{fib_n}", "grid:8x8", spec, seed=args.seed)

@@ -21,14 +21,7 @@ from .large_machines import (
     run_large_machines,
 )
 from .optimization import render_table1, run_optimization
-from .plan import (
-    ExecutionReport,
-    ExperimentPlan,
-    LocalRun,
-    collect_reports,
-    execute,
-    merge_plans,
-)
+from .plan import ExperimentPlan, collect_reports, execute, merge_plans
 from .plots import ascii_plot
 from .query_stream import render_stream, run_stream
 from .replication import Replication, replicate_metric, replicate_pair
@@ -39,9 +32,7 @@ from .timeseries import render_timeseries, rise_time, run_timeseries, tail_lengt
 from .utilization_curves import render_curve, run_all_curves, run_curve
 
 __all__ = [
-    "ExecutionReport",
     "ExperimentPlan",
-    "LocalRun",
     "PairedSweep",
     "SweepPoint",
     "SweepResult",

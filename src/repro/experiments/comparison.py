@@ -124,7 +124,7 @@ def comparison_plan(
             for cwn_res, gm_res, (family, n_pes) in paired(results, labels)
         ]
 
-    return ExperimentPlan.from_scenarios("table2", scenarios, _reduce, meta)
+    return ExperimentPlan("table2", scenarios, _reduce, meta)
 
 
 def run_comparison(

@@ -90,7 +90,7 @@ def grainsize_plan(
             for cwn, gm, (grain, comm_per_goal) in paired(results, labels)
         ]
 
-    return ExperimentPlan.from_scenarios("grainsize", scenarios, _reduce, meta)
+    return ExperimentPlan("grainsize", scenarios, _reduce, meta)
 
 
 def run_grainsize(

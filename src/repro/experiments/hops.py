@@ -64,7 +64,7 @@ def hop_plan(
         cwn_res, gm_res = results
         return HopStudy(cwn_res.workload, labels[0], cwn_res, gm_res)
 
-    return ExperimentPlan.from_scenarios(
+    return ExperimentPlan(
         "table3", scenarios, _reduce, (topology.name, topology.name)
     )
 

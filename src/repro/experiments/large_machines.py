@@ -132,7 +132,7 @@ def large_machine_plan(
             for res, (family, n_pes, diameter, strategy) in zip(results, labels)
         ]
 
-    return ExperimentPlan.from_scenarios("large-machines", scenarios, _reduce, meta)
+    return ExperimentPlan("large-machines", scenarios, _reduce, meta)
 
 
 def run_large_machines(

@@ -97,7 +97,7 @@ def parameter_plan(
         scored.sort(key=lambda sp: -sp.mean_speedup)
         return scored
 
-    return ExperimentPlan.from_scenarios(name, scenarios, _reduce, meta)
+    return ExperimentPlan(name, scenarios, _reduce, meta)
 
 
 def _sweep(

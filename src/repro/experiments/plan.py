@@ -6,56 +6,48 @@ the scaling and grain-size studies — is a *grid of independent runs*
 followed by a fold.  This module makes that shape explicit:
 
 * a **plan builder** is a pure function that emits an
-  :class:`ExperimentPlan`: an ordered list of runs (canonical
-  :class:`~repro.parallel.spec.RunSpec` where the spec grammar can
-  express the run, :class:`LocalRun` thunks where it cannot) plus
-  per-run metadata (cell labels, axis values);
+  :class:`ExperimentPlan`: an ordered tuple of
+  :class:`~repro.scenario.Scenario` runs plus per-run metadata (cell
+  labels, axis values);
 * a **reducer** is a pure function folding the returned
   :class:`~repro.oracle.stats.SimResult` list (plus the metadata) into
   the experiment's existing result type;
-* :func:`execute` is the single engine between them: it routes every
-  spec-expressible run through :func:`repro.parallel.run_batch` — which
-  does all fan-out (``jobs=``), content-addressed caching (``cache=``),
-  retry and resumability — and runs the rare unspellable leftovers
-  in-process.
+* :func:`execute` is the single engine between them: it is
+  :func:`repro.parallel.run_batch` — which does all fan-out
+  (``jobs=``), content-addressed caching (``cache=``), retry and
+  resumability, and runs the rare unspellable scenario in-process —
+  followed by the reducer.
 
 Because the engine is shared, *every* experiment is parallel, cached
 and resumable by construction: a new experiment only writes a builder
 and a reducer.  Plans compose too — :func:`merge_plans` concatenates
 several plans into one batch so a whole plot family fans out together.
 
-The :func:`collect_reports` context manager captures one
-:class:`ExecutionReport` per :func:`execute` call for callers (the CLI)
-that want farm telemetry without threading a callback through every
-experiment signature.
+The :func:`collect_reports` context manager captures the
+:class:`~repro.parallel.BatchReport` of every :func:`execute` call for
+callers (the CLI) that want farm telemetry without threading a callback
+through every experiment signature.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult
-from ..parallel import ResultCache, RunSpec, run_batch
-from ..parallel.pool import RunFailure
+from ..parallel import BatchReport, ResultCache, run_batch
+from ..parallel.orchestrator import BatchProgressFn
 from ..scenario import Scenario
 
 __all__ = [
-    "ExecutionReport",
     "ExperimentPlan",
-    "LocalRun",
     "collect_reports",
     "execute",
     "merge_plans",
     "paired",
-    "planned_scenario",
 ]
-
-#: progress callback: (completed, total, source) with source
-#: "cache" | "sim" | "local"
-PlanProgressFn = Callable[[int, int, str], None]
 
 #: reducer contract: (results, meta) -> experiment result, where
 #: ``results[i]`` and ``meta[i]`` describe run ``i`` of the plan.
@@ -63,39 +55,23 @@ Reducer = Callable[[Sequence[SimResult], Sequence[Any]], Any]
 
 
 @dataclass(frozen=True)
-class LocalRun:
-    """A run the spec grammar cannot express, as an in-process thunk.
-
-    Custom strategy objects, recorded workloads and other constructs
-    without a factory spelling cannot ship to worker processes or be
-    content-addressed; they still belong in a plan.  ``thunk`` runs the
-    simulation in the calling process; ``label`` names the run for
-    progress and error messages.
-    """
-
-    thunk: Callable[[], SimResult]
-    label: str = ""
-
-
-#: one plan entry: farmable spec, or in-process fallback
-PlanRun = RunSpec | LocalRun
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     """One experiment as data: ordered runs, metadata, and a reducer.
 
+    ``runs`` and ``meta`` take any sequences and are kept as tuples.
     ``meta[i]`` labels ``runs[i]`` (cell coordinates, axis values —
     whatever the reducer needs to place result ``i``); an empty ``meta``
     means no labels, and the reducer receives ``None`` per run.
     """
 
     name: str
-    runs: tuple[PlanRun, ...]
+    runs: tuple[Scenario, ...]
     reduce: Reducer
     meta: tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "runs", tuple(self.runs))
+        object.__setattr__(self, "meta", tuple(self.meta))
         if self.meta and len(self.meta) != len(self.runs):
             raise ValueError(
                 f"plan {self.name!r}: {len(self.meta)} meta entries for "
@@ -106,37 +82,6 @@ class ExperimentPlan:
     def labels(self) -> tuple[Any, ...]:
         """``meta`` padded to one entry per run (``None`` when absent)."""
         return self.meta if self.meta else (None,) * len(self.runs)
-
-    @classmethod
-    def from_scenarios(
-        cls,
-        name: str,
-        scenarios: "Sequence[Scenario]",
-        reduce: Reducer,
-        meta: Sequence[Any] = (),
-    ) -> "ExperimentPlan":
-        """Build a plan straight from :class:`~repro.scenario.Scenario` values.
-
-        Each scenario becomes a farmable :class:`~repro.parallel.spec.RunSpec`
-        where the spec grammar can express it, and a :class:`LocalRun`
-        otherwise (see :func:`planned_scenario`).
-        """
-        return cls(name, tuple(planned_scenario(sc) for sc in scenarios), reduce, tuple(meta))
-
-
-def planned_scenario(scenario: "Scenario") -> PlanRun:
-    """One plan entry for ``scenario``: a canonical spec, or a fallback.
-
-    Scenarios the spec grammar can express become
-    :class:`~repro.parallel.spec.RunSpec` (farmable, cacheable); the
-    rest degrade to a :class:`LocalRun` closing over the live objects —
-    the plan still executes, serially and uncached, exactly as the old
-    hand-rolled loops did.
-    """
-    try:
-        return RunSpec.from_scenario(scenario)
-    except ValueError:
-        return LocalRun(thunk=scenario.run, label=scenario.label())
 
 
 def paired(
@@ -162,7 +107,7 @@ def merge_plans(name: str, plans: Sequence[ExperimentPlan]) -> ExperimentPlan:
     of farming each member separately.
     """
     plans = list(plans)
-    runs: list[PlanRun] = []
+    runs: list[Scenario] = []
     meta: list[Any] = []
     for plan in plans:
         runs.extend(plan.runs)
@@ -182,46 +127,22 @@ def merge_plans(name: str, plans: Sequence[ExperimentPlan]) -> ExperimentPlan:
             offset += width
         return out
 
-    return ExperimentPlan(name, tuple(runs), _reduce, tuple(meta))
-
-
-@dataclass
-class ExecutionReport:
-    """Telemetry of one :func:`execute` call (see :func:`collect_reports`)."""
-
-    plan: str
-    runs: int
-    hits: int
-    simulated: int
-    local: int
-    retried: int
-    failures: list[RunFailure] = field(default_factory=list)
-
-    @property
-    def executed(self) -> int:
-        """Runs that actually simulated (farm misses + local thunks)."""
-        return self.simulated + self.local
-
-    def __str__(self) -> str:
-        return (
-            f"{self.plan}: {self.runs} runs, {self.hits} cache hits, "
-            f"{self.executed} simulated"
-        )
+    return ExperimentPlan(name, runs, _reduce, meta)
 
 
 #: active collect_reports() sinks (append-only while a with-block is open)
-_collectors: list[list[ExecutionReport]] = []
+_collectors: list[list[BatchReport]] = []
 
 
 @contextmanager
-def collect_reports() -> Iterator[list[ExecutionReport]]:
-    """Capture an :class:`ExecutionReport` per :func:`execute` call.
+def collect_reports() -> Iterator[list[BatchReport]]:
+    """Capture the :class:`~repro.parallel.BatchReport` of each :func:`execute` call.
 
     Nestable and re-entrant (every active collector sees every report);
     the CLI wraps each experiment command in one of these to print its
     ``[farm]`` summary without the experiment signatures knowing.
     """
-    sink: list[ExecutionReport] = []
+    sink: list[BatchReport] = []
     _collectors.append(sink)
     try:
         yield sink
@@ -235,73 +156,39 @@ def execute(
     cache: ResultCache | None = None,
     use_cache: bool = True,
     retries: int = 1,
-    progress: PlanProgressFn | None = None,
+    progress: BatchProgressFn | None = None,
 ) -> Any:
-    """Run a plan and return its reduced result.
+    """Run a plan through :func:`repro.parallel.run_batch` and reduce it.
 
-    The spec-expressible runs go through :func:`repro.parallel.run_batch`
-    — ``jobs`` worker processes for the cache misses (``None``/1 =
-    serial in-process, 0 = all cores), every fresh result persisted to
-    ``cache`` before the batch returns, transient failures retried —
-    and the :class:`LocalRun` leftovers execute in this process.
-    Results reach the reducer in plan order regardless of completion
-    order, so ``execute(plan)`` with no farm arguments is the old serial
-    loop, bit for bit, and ``execute(plan, jobs=N, cache=...)`` is the
-    same result computed as fast as the hardware allows.
+    ``jobs`` worker processes take the cache misses (``None``/1 =
+    serial in-process, 0 = all cores), every fresh result is persisted
+    to ``cache`` before the batch returns, transient failures are
+    retried, and unspellable scenarios run in this process.  Results
+    reach the reducer in plan order regardless of completion order, so
+    ``execute(plan)`` with no farm arguments is the old serial loop, bit
+    for bit, and ``execute(plan, jobs=N, cache=...)`` is the same result
+    computed as fast as the hardware allows.
     """
-    runs = plan.runs
-    total = len(runs)
-    results: list[SimResult | None] = [None] * total
-    done = 0
-
-    def advance(source: str) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total, source)
-
-    spec_indices = [i for i, run in enumerate(runs) if isinstance(run, RunSpec)]
-    report = None
-    if spec_indices:
-        report = run_batch(
-            [runs[i] for i in spec_indices],
-            jobs=jobs,
-            cache=cache,
-            use_cache=use_cache,
-            retries=retries,
-            progress=(lambda _d, _t, source: advance(source)) if progress else None,
-        )
-        for i, result in zip(spec_indices, report.results):
-            results[i] = result
-    local = 0
-    for i, run in enumerate(runs):
-        if isinstance(run, LocalRun):
-            results[i] = run.thunk()
-            local += 1
-            advance("local")
-
-    outcome = ExecutionReport(
-        plan=plan.name,
-        runs=total,
-        hits=report.hits if report else 0,
-        simulated=report.simulated if report else 0,
-        local=local,
-        retried=report.retried if report else 0,
-        failures=list(report.failures) if report else [],
+    report = run_batch(
+        plan.runs,
+        jobs=jobs,
+        cache=cache,
+        use_cache=use_cache,
+        retries=retries,
+        progress=progress,
     )
     for sink in _collectors:
-        sink.append(outcome)
+        sink.append(report)
     tele = _telemetry.sink()
     if tele is not None:
         tele.emit(
             "plan.report",
-            plan=outcome.plan,
-            runs=outcome.runs,
-            hits=outcome.hits,
-            simulated=outcome.simulated,
-            local=outcome.local,
-            retried=outcome.retried,
-            failures=len(outcome.failures),
+            plan=plan.name,
+            runs=len(report.results),
+            hits=report.hits,
+            simulated=report.simulated,
+            local=report.local,
+            retried=report.retried,
+            failures=len(report.failures),
         )
-
-    return plan.reduce(results, plan.labels)
+    return plan.reduce(report.results, plan.labels)

@@ -10,8 +10,8 @@ and the machine is (nearly) never empty.
 
 :func:`stream_plan` builds the study as a declarative
 :class:`~repro.experiments.plan.ExperimentPlan` (open-system runs are
-ordinary specs now that :class:`~repro.parallel.spec.RunSpec` carries
-arrival parameters); :func:`run_stream` injects ``queries`` instances
+ordinary scenarios now that :class:`~repro.scenario.Scenario` carries
+the arrival block); :func:`run_stream` injects ``queries`` instances
 of a program, ``spacing`` apart, round-robin over injection PEs spread
 across the machine, and reports makespan, mean/max response time and
 utilization for each strategy.
@@ -101,7 +101,7 @@ def stream_plan(
             )
         return out
 
-    return ExperimentPlan.from_scenarios("stream", scenarios, _reduce, meta)
+    return ExperimentPlan("stream", scenarios, _reduce, meta)
 
 
 def run_stream(

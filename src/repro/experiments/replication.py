@@ -107,7 +107,7 @@ def pair_plan(
             tuple(cwn.speedup / gm.speedup for cwn, gm, _seed in paired(results, labels))
         )
 
-    return ExperimentPlan.from_scenarios("replicate:pair", scenarios, _reduce, meta)
+    return ExperimentPlan("replicate:pair", scenarios, _reduce, meta)
 
 
 def replicate_pair(
@@ -151,7 +151,7 @@ def metric_plan(
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> Replication:
         return Replication(tuple(float(getattr(res, metric)) for res in results))
 
-    return ExperimentPlan.from_scenarios(f"replicate:{metric}", scenarios, _reduce, meta)
+    return ExperimentPlan(f"replicate:{metric}", scenarios, _reduce, meta)
 
 
 def replicate_metric(

@@ -75,7 +75,7 @@ def scaling_plan(
             for cwn, gm, (family, n_pes, diameter) in paired(results, labels)
         ]
 
-    return ExperimentPlan.from_scenarios("scaling", scenarios, _reduce, meta)
+    return ExperimentPlan("scaling", scenarios, _reduce, meta)
 
 
 def run_scaling(

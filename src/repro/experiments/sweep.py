@@ -171,7 +171,7 @@ class PairedSweep:
                 self.factor, self.metric, self.a_name, self.b_name, tuple(points)
             )
 
-        return ExperimentPlan.from_scenarios(f"sweep:{self.factor}", scenarios, _reduce, meta)
+        return ExperimentPlan(f"sweep:{self.factor}", scenarios, _reduce, meta)
 
     def run(
         self,

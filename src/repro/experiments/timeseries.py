@@ -89,7 +89,7 @@ def pilot_plan(
     def _reduce(results: Sequence[SimResult], labels: Sequence[Any]) -> dict[str, float]:
         return {name: res.completion_time for name, res in zip(labels, results)}
 
-    return ExperimentPlan.from_scenarios("timeseries:pilot", scenarios, _reduce, meta)
+    return ExperimentPlan("timeseries:pilot", scenarios, _reduce, meta)
 
 
 def sampled_plan(
@@ -124,7 +124,7 @@ def sampled_plan(
             label = res.workload
         return TimeSeriesStudy(topology.name, label, series, completion)
 
-    return ExperimentPlan.from_scenarios("timeseries", scenarios, _reduce, meta)
+    return ExperimentPlan("timeseries", scenarios, _reduce, meta)
 
 
 def _intervals(pilot: dict[str, float], samples: int) -> dict[str, float]:

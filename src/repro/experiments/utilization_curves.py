@@ -86,7 +86,7 @@ def curve_plan(
             series[strat].append((res.total_goals, res.utilization_percent))
         return UtilizationCurve(topology.name, kind, series)
 
-    return ExperimentPlan.from_scenarios(f"plot:{topology.name}", scenarios, _reduce, meta)
+    return ExperimentPlan(f"plot:{topology.name}", scenarios, _reduce, meta)
 
 
 def run_curve(

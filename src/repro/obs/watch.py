@@ -84,7 +84,7 @@ class WatchState:
             self.runs_total += int(event.get("total", 0))
         elif kind == "batch.progress":
             self.runs_done += 1
-            if event.get("source") == "sim":
+            if event.get("source") in ("sim", "local"):
                 self.simulated += 1
         elif kind == "batch.finish":
             self.failures += int(event.get("failures", 0))

@@ -1,30 +1,30 @@
 """Multiprocess simulation farm with a content-addressed result cache.
 
-Every experiment here is a bag of independent runs; this package
-makes such bags cheap:
+Every experiment here is a bag of independent runs, each one
+:class:`~repro.scenario.Scenario`; this package makes such bags cheap:
 
-* :mod:`repro.parallel.spec` — :class:`RunSpec`, one run as canonical,
-  hashable, JSON-serializable data;
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, an on-disk store
-  addressed by the spec hash (atomic writes, schema-versioned,
-  ``REPRO_CACHE_DIR`` relocatable);
+  addressed by :meth:`Scenario.content_hash` (atomic writes,
+  schema-versioned, ``REPRO_CACHE_DIR`` relocatable);
 * :mod:`repro.parallel.pool` — :class:`WorkerFleet`, the one pool of
   worker processes (``repro serve`` keeps one warm), and
-  :func:`run_many`, which farms specs over a fleet with output
-  bit-identical to serial execution;
-* :mod:`repro.parallel.orchestrator` — :func:`run_batch`, resumable
-  batches: cache hits skipped, failures retried, every completed run
-  persisted immediately.
+  :func:`run_many`, which farms spelled scenarios over a fleet with
+  output bit-identical to serial execution;
+* :mod:`repro.parallel.orchestrator` — :func:`run_batch`, the one batch
+  engine: resumable batches, cache hits skipped, failures retried,
+  every completed run persisted immediately, and scenarios the spec
+  grammar cannot spell run in-process.
 
 Every experiment module routes through :func:`run_batch` via the
 declarative plan spine (:mod:`repro.experiments.plan`), as do the CLI's
 uniform ``--jobs`` / ``--no-cache`` flags; the pieces compose directly
 too::
 
-    from repro.parallel import ResultCache, RunSpec, run_batch
+    from repro.parallel import ResultCache, run_batch
+    from repro.scenario import Scenario
 
-    specs = [RunSpec("fib:15", "grid:10x10", "cwn", seed=s) for s in range(8)]
-    report = run_batch(specs, jobs=4, cache=ResultCache())
+    runs = [Scenario("fib:15", "grid:10x10", "cwn", seed=s) for s in range(8)]
+    report = run_batch(runs, jobs=4, cache=ResultCache())
     speedups = [r.speedup for r in report.results]
 """
 
@@ -41,7 +41,7 @@ from .cache import (
 )
 from .orchestrator import BatchReport, run_batch
 from .pool import FarmError, RunFailure, WorkerFleet, resolve_jobs, run_many
-from .spec import SPEC_SCHEMA, RunSpec
+from .spec import RunSpec  # noqa: F401  (perfbench's alias; not exported)
 
 __all__ = [
     "BatchReport",
@@ -50,8 +50,6 @@ __all__ = [
     "ResultCache",
     "FarmError",
     "RunFailure",
-    "RunSpec",
-    "SPEC_SCHEMA",
     "WorkerFleet",
     "default_cache_dir",
     "resolve_jobs",

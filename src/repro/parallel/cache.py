@@ -1,11 +1,12 @@
 """On-disk content-addressed result store.
 
 A repeated configuration is never worth resimulating: the engine is
-deterministic, so a :class:`~repro.parallel.spec.RunSpec`'s result is a
+deterministic, so a :class:`~repro.scenario.Scenario`'s result is a
 pure function of its canonical form.  :class:`ResultCache` exploits that
 — results live under ``<root>/v<schema>/<kk>/<key>.json`` where ``key``
-is :meth:`RunSpec.key` (a SHA-256 over the canonical spec) and ``kk``
-its first two hex digits (a fan-out shard so directories stay small).
+is :meth:`Scenario.content_hash` (a SHA-256 over the canonical form) and
+``kk`` its first two hex digits (a fan-out shard so directories stay
+small).
 
 Design points:
 
@@ -15,7 +16,7 @@ Design points:
 * **corruption recovery** — an unreadable, truncated, or mismatching
   entry is treated as a miss and deleted, never propagated;
 * **schema versioning** — both the directory layout and each payload
-  carry a schema tag; bumping :data:`CACHE_SCHEMA` (or the spec's
+  carry a schema tag; bumping :data:`CACHE_SCHEMA` (or the scenario's
   ``SPEC_SCHEMA``, which feeds the hash) orphans stale results instead
   of serving them;
 * **relocatable** — the root defaults to ``~/.cache/repro-kale88`` and
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult, UtilizationSample
-from .spec import RunSpec
+from ..scenario.scenario import Scenario
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -192,7 +193,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed ``RunSpec -> SimResult`` store on disk.
+    """Content-addressed ``Scenario -> SimResult`` store on disk.
 
     ``hits`` / ``misses`` count this instance's lookups (a ``put``
     does not count), so an orchestrator can report hit rates and tests
@@ -215,21 +216,21 @@ class ResultCache:
     def _version_dir(self) -> Path:
         return self.root / f"v{CACHE_SCHEMA}"
 
-    def path_for(self, spec: RunSpec) -> Path:
-        """Where ``spec``'s result lives (whether or not it exists yet)."""
-        key = spec.key()
+    def path_for(self, scenario: Scenario) -> Path:
+        """Where ``scenario``'s result lives (whether or not it exists yet)."""
+        key = scenario.content_hash()
         return self._version_dir / key[:2] / f"{key}.json"
 
     # -- lookup ------------------------------------------------------------------
 
-    def get(self, spec: RunSpec) -> SimResult | None:
+    def get(self, scenario: Scenario) -> SimResult | None:
         """The stored result, or ``None`` on miss.
 
         Any defect in the stored entry — unparsable JSON, wrong schema,
         key mismatch, missing fields — deletes the entry and reports a
         miss; the cache never propagates corruption.
         """
-        path = self.path_for(spec)
+        path = self.path_for(scenario)
         key = path.stem
         tele = _telemetry.sink()
         memo = self._memo
@@ -290,19 +291,16 @@ class ResultCache:
                 # bound, losing one eviction race is harmless.
                 pass
 
-    def __contains__(self, spec: RunSpec) -> bool:
-        return self.path_for(spec).exists()
-
     # -- store -------------------------------------------------------------------
 
-    def put(self, spec: RunSpec, result: SimResult) -> Path:
-        """Store ``result`` under ``spec``'s content address (atomic)."""
-        path = self.path_for(spec)
+    def put(self, scenario: Scenario, result: SimResult) -> Path:
+        """Store ``result`` under ``scenario``'s content address (atomic)."""
+        path = self.path_for(scenario)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
             "key": path.stem,
-            "spec": spec.canonical_dict(),
+            "spec": scenario.canonical_dict(),
             "result": result_to_dict(result),
         }
         fd, tmp_name = tempfile.mkstemp(

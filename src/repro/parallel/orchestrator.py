@@ -1,11 +1,14 @@
 """Resumable batch execution: cache hits skipped, failures retried.
 
-:func:`run_batch` is the farm's front door for the experiment harness:
-give it a list of specs and it returns one result per spec, in order,
-having simulated only what the cache did not already hold.  Because
-every completed simulation is persisted before the batch finishes, an
-interrupted sweep resumes where it stopped — rerunning the same command
-costs only the cells that never completed.
+:func:`run_batch` is the one batch engine, behind every plan and every
+``--jobs``: give it a list of scenarios and it returns one result per
+scenario, in order, having simulated only what the cache did not
+already hold.  It spells each scenario itself: the spellable ones are
+farmed and cached, and the rest (live objects the spec grammar cannot
+express) run in this process, uncached.  Because every farmed run is
+persisted the moment it completes, an interrupted sweep resumes where
+it stopped — rerunning the same command costs only the cells that never
+completed.
 
 Transient failures (a worker killed by the OOM killer, a crashed
 container) are retried up to ``retries`` times; deterministic failures
@@ -21,13 +24,14 @@ from typing import Callable, Sequence
 
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult
+from ..scenario.scenario import Scenario
 from .cache import ResultCache
 from .pool import FarmError, RunFailure, run_many
-from .spec import RunSpec
 
 __all__ = ["BatchReport", "run_batch"]
 
-#: progress callback: (completed, total, source) with source "cache"|"sim"
+#: progress callback: (completed, total, source) with source
+#: "cache" | "sim" | "local"
 BatchProgressFn = Callable[[int, int, str], None]
 
 
@@ -37,7 +41,8 @@ class BatchReport:
 
     ``results[i]`` corresponds to ``specs[i]``; with ``strict=False`` a
     permanently failed spec leaves ``None`` in its slot and an entry in
-    ``failures``.
+    ``failures``.  ``local`` counts the unspellable runs executed in
+    this process.
     """
 
     results: list[SimResult | None]
@@ -45,22 +50,23 @@ class BatchReport:
     simulated: int
     retried: int
     failures: list[RunFailure] = field(default_factory=list)
+    local: int = 0
 
     @property
-    def misses(self) -> int:
-        """Specs the cache could not answer (simulated + failed)."""
-        return len(self.results) - self.hits
+    def executed(self) -> int:
+        """Runs that actually simulated (farmed misses + local runs)."""
+        return self.simulated + self.local
 
     def __str__(self) -> str:
         return (
             f"{len(self.results)} specs: {self.hits} cache hits, "
             f"{self.simulated} simulated ({self.retried} retried), "
-            f"{len(self.failures)} failed"
+            f"{self.local} local, {len(self.failures)} failed"
         )
 
 
 def run_batch(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Scenario],
     jobs: int | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
@@ -69,6 +75,10 @@ def run_batch(
     strict: bool = True,
 ) -> BatchReport:
     """Execute ``specs``, reusing ``cache`` and farming misses out.
+
+    Scenarios whose parts the spec grammar cannot spell run last, in
+    this process and uncached (progress source ``"local"``); their
+    errors propagate as raised.
 
     Parameters
     ----------
@@ -93,7 +103,7 @@ def run_batch(
         On permanent failure, raise (default) or record the failure and
         leave ``None`` in that result slot.
     """
-    specs = list(specs)
+    specs = list(specs)  # each farmable entry is replaced by its spelling
     total = len(specs)
     results: list[SimResult | None] = [None] * total
     done = 0
@@ -117,8 +127,14 @@ def run_batch(
 
     reading = cache is not None and use_cache
     pending: list[int] = []
+    local: list[int] = []
     hits = 0
     for i, spec in enumerate(specs):
+        try:
+            specs[i] = spec = spec.spelled()
+        except ValueError:
+            local.append(i)
+            continue
         cached = cache.get(spec) if reading else None
         if cached is not None:
             results[i] = cached
@@ -192,12 +208,17 @@ def run_batch(
         attempt += 1
         pending = still_failing
 
+    for i in local:
+        results[i] = specs[i].run()
+        advance("local")
+
     report = BatchReport(
         results=results,
         hits=hits,
         simulated=simulated,
         retried=retried,
         failures=failures,
+        local=len(local),
     )
     if tele is not None:
         tele.emit(
@@ -206,6 +227,7 @@ def run_batch(
             hits=hits,
             simulated=simulated,
             retried=retried,
+            local=len(local),
             failures=len(failures),
         )
     return report

@@ -7,12 +7,13 @@ only code that starts simulation workers: :func:`run_many` (hence
 specs on a fleet that lives for the call, and ``repro serve`` keeps one
 warm for its whole life.  :func:`run_many` guarantees:
 
-* **determinism** — a worker does exactly what ``spec.run()`` does in
-  process: seeds travel inside the specs, no worker identity or wall
-  clock enters the simulation, so ``run_many(specs, jobs=N)`` is
-  bit-identical to ``[spec.run() for spec in specs]`` for every ``N``;
-* **ordered results** — output index ``i`` is spec ``i``'s result, no
-  matter which worker finished first;
+* **determinism** — a worker does exactly what ``scenario.run()`` does
+  in process: each scenario travels as its :func:`task_json`, seeds
+  inside it, and no worker identity or wall clock enters the
+  simulation, so ``run_many(scenarios, jobs=N)`` is bit-identical to
+  ``[sc.run() for sc in scenarios]`` for every ``N``;
+* **ordered results** — output index ``i`` is scenario ``i``'s result,
+  no matter which worker finished first;
 * **no hang on a dead worker** — a worker that dies without raising
   (OOM-killed, segfault, container eviction) fails the one task it died
   on, as a retryable :class:`RunFailure`; the fleet respawns it and
@@ -21,6 +22,7 @@ warm for its whole life.  :func:`run_many` guarantees:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pickle
@@ -37,10 +39,10 @@ from typing import Any, Callable, Sequence
 from ..obs import telemetry as _telemetry
 from ..oracle.engine import SimulationError
 from ..oracle.stats import SimResult
+from ..scenario.scenario import Scenario
 from .cache import result_from_dict, result_to_dict
-from .spec import RunSpec
 
-__all__ = ["FarmError", "RunFailure", "WorkerFleet", "resolve_jobs", "run_many"]
+__all__ = ["FarmError", "RunFailure", "WorkerFleet", "resolve_jobs", "run_many", "task_json"]
 
 #: progress callback signature: (completed_count, total_count)
 ProgressFn = Callable[[int, int], None]
@@ -78,7 +80,7 @@ class FarmError(SimulationError):
 class RunFailure:
     """One spec's failure, as data (for ``return_errors=True`` callers)."""
 
-    spec: RunSpec
+    spec: Scenario
     error: str
 
     def __str__(self) -> str:
@@ -121,6 +123,15 @@ def _close_inherited_sockets() -> None:
             pass
 
 
+def task_json(scenario: Scenario) -> str:
+    """One run as a fleet task: the scenario's exact spelling, as JSON.
+
+    Raises :class:`ValueError` for parts the spec grammar cannot spell;
+    a worker revives the text with :meth:`Scenario.from_dict`.
+    """
+    return json.dumps(scenario.to_dict(), sort_keys=True)
+
+
 def _worker_main(tasks: Any, results: Any) -> None:
     """One fleet worker: loop until the ``None`` sentinel, simulate, send home.
 
@@ -142,7 +153,8 @@ def _worker_main(tasks: Any, results: Any) -> None:
             break
         task_id, spec_json = item
         try:
-            message = (task_id, True, result_to_dict(RunSpec.from_json(spec_json).run()))
+            result = Scenario.from_dict(json.loads(spec_json)).run()
+            message = (task_id, True, result_to_dict(result))
         except Exception:
             message = (task_id, False, traceback.format_exc())
         results.send(message)
@@ -362,7 +374,7 @@ class WorkerFleet:
         self.stop()
 
 
-def _run_one(spec: RunSpec) -> tuple[bool, object]:
+def _run_one(spec: Scenario) -> tuple[bool, object]:
     """Execute one spec in this process; never raises (errors become text)."""
     try:
         return True, spec.run()
@@ -371,7 +383,7 @@ def _run_one(spec: RunSpec) -> tuple[bool, object]:
 
 
 def run_many(
-    specs: Sequence[RunSpec],
+    specs: Sequence[Scenario],
     jobs: int | None = None,
     progress: ProgressFn | None = None,
     return_errors: bool = False,
@@ -437,7 +449,7 @@ def run_many(
 
         def feed(worker: int, count: int) -> None:
             for index, spec in islice(backlog, count):
-                fleet.submit(worker, index, spec.to_json())
+                fleet.submit(worker, index, task_json(spec))
 
         for worker in range(jobs):
             feed(worker, FARM_QUEUE_DEPTH)

@@ -1,9 +1,8 @@
 """The open-system arrival block, as one value.
 
 How many instances of the program enter the machine, when and where:
-one frozen, hashable value that :class:`~repro.scenario.Scenario`,
-:class:`~repro.parallel.spec.RunSpec` and
-:class:`~repro.oracle.machine.Machine` all carry as is, with the
+one frozen, hashable value that :class:`~repro.scenario.Scenario` and
+:class:`~repro.oracle.machine.Machine` both carry as is, with the
 validation in exactly one place.
 
 The default instance (one query, injected at the scenario's

@@ -12,12 +12,13 @@ One value, four consumers:
 
 * ``Scenario.build()`` / ``Scenario.run()`` — construct the wired
   :class:`~repro.oracle.machine.Machine` / run it;
-* :class:`~repro.parallel.spec.RunSpec` — the farm's picklable form is
-  ``RunSpec.from_scenario(sc)``, and every content hash is
+* the farm, cache, fleet and service (:mod:`repro.parallel`,
+  :mod:`repro.serve`) — a fleet task is the scenario's exact spelling
+  (:meth:`to_dict` as JSON), and every cache address is
   ``Scenario.content_hash()`` (so pre-Scenario warm caches keep
   hitting);
-* :class:`~repro.experiments.plan.ExperimentPlan` — plans are built
-  from and emit scenarios;
+* :class:`~repro.experiments.plan.ExperimentPlan` — a plan's runs are
+  scenarios;
 * the CLI — ``repro run "fib:15 @ grid:8x8 / cwn?seed=3"`` parses the
   compact **spec grammar**::
 
@@ -74,7 +75,7 @@ class Scenario:
     (serialization, hashing, the farm) goes through :meth:`spelled`,
     which spells objects via the registries' ``spec_of`` — objects the
     spec grammar cannot express raise :class:`ValueError` there, and
-    callers (the plan pipeline) degrade to in-process execution.
+    :func:`~repro.parallel.run_batch` runs such a scenario in-process.
     """
 
     workload: "Program | str"
@@ -178,18 +179,6 @@ class Scenario:
             return self
         return replace(self, workload=workload, topology=topology, strategy=strategy)
 
-    def label(self) -> str:
-        """Human-readable one-liner (progress and error messages)."""
-        def part(value: Any) -> str:
-            if isinstance(value, str):
-                return value
-            try:
-                return type(value).__name__
-            except Exception:  # pragma: no cover - exotic objects
-                return repr(value)
-
-        return f"{part(self.workload)} @ {part(self.topology)} / {part(self.strategy)}"
-
     # -- canonical form and hashing ----------------------------------------------
 
     def canonical(self) -> "Scenario":
@@ -230,7 +219,7 @@ class Scenario:
         memoized on the instance — the cache consults it several times
         per run, and the fields it derives from are frozen.
 
-        The layout is byte-compatible with the pre-Scenario ``RunSpec``
+        The layout is byte-compatible with the farm's pre-Scenario
         canonical form: default arrivals are omitted entirely, so every
         previously computed content hash — and the warm cache entries
         addressed by it — stays valid.

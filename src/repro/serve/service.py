@@ -21,8 +21,8 @@ computations the service answers *busy* (HTTP 429) instead of queueing
 unboundedly, and each fleet worker's task queue is itself bounded.
 
 Everything emits ``serve.*`` telemetry (request, coalesce, batch,
-dispatch, complete, busy) under the repo's sink-guard convention, so
-``repro watch`` renders a live serve panel for free.
+dispatch, complete, busy, cache_error) under the repo's sink-guard
+convention, so ``repro watch`` renders a live serve panel for free.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Any
 
 from ..obs import telemetry as _telemetry
 from ..parallel.cache import ResultCache, result_from_dict, result_to_dict
-from ..parallel.pool import WorkerFleet
-from ..parallel.spec import RunSpec
+from ..parallel.pool import WorkerFleet, task_json
 from ..scenario import Scenario
 from .policy import ServePolicy
 
@@ -95,7 +94,7 @@ class _Entry:
 
     key: str
     spec_text: str
-    run_spec: RunSpec
+    scenario: Scenario
     future: "asyncio.Future[dict[str, Any]]"
     admitted: float = field(default_factory=time.perf_counter)
 
@@ -208,9 +207,8 @@ class ScenarioService:
                 spec_text, key, "coalesced", result, _ms_since(start)
             )
 
-        run_spec = RunSpec.from_scenario(scenario)
         if self.cache is not None:
-            cached = self.cache.get(run_spec)
+            cached = self.cache.get(scenario)
             if cached is not None:
                 self.stats.cache_hits += 1
                 if tele is not None:
@@ -234,7 +232,7 @@ class ScenarioService:
         if tele is not None:
             tele.emit("serve.request", key=key[:12], source="miss")
         loop = asyncio.get_running_loop()
-        entry = _Entry(key, spec_text, run_spec, loop.create_future())
+        entry = _Entry(key, spec_text, scenario, loop.create_future())
         self._inflight[key] = entry
         self._admission.put_nowait(key)
         result = await asyncio.shield(entry.future)
@@ -280,7 +278,7 @@ class ScenarioService:
         worker = self.policy.pick(self.fleet.outstanding)
         task_id = self._next_task_id
         self._next_task_id += 1
-        spec_json = entry.run_spec.to_json()
+        spec_json = task_json(entry.scenario)
         try:
             self.fleet.submit(worker, task_id, spec_json)
         except queue_mod.Full:
@@ -333,8 +331,14 @@ class ScenarioService:
         if ok:
             if self.cache is not None:
                 # put() is atomic; a concurrent serve process racing on
-                # the same key writes identical bytes.
-                self.cache.put(entry.run_spec, result_from_dict(payload))
+                # the same key writes identical bytes.  A failed write
+                # (full disk, read-only cache) costs only a later warm
+                # hit: the answer stands, and the pump must live on.
+                try:
+                    self.cache.put(entry.scenario, result_from_dict(payload))
+                except OSError as exc:
+                    if tele is not None:
+                        tele.emit("serve.cache_error", key=entry.key[:12], error=str(exc))
             if tele is not None:
                 tele.emit(
                     "serve.complete",

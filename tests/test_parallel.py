@@ -1,5 +1,6 @@
-"""The simulation farm: canonical specs, the content-addressed cache,
-and the determinism guarantee (parallel == serial, bit for bit).
+"""The simulation farm: scenario keys and task JSON, the
+content-addressed cache, and the determinism guarantee (parallel ==
+serial, bit for bit).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from repro.experiments.comparison import render_table2, run_comparison
 from repro.oracle.config import CostModel, SimConfig
 from repro.parallel import (
     ResultCache,
-    RunSpec,
     FarmError,
     WorkerFleet,
     run_batch,
     run_many,
 )
 from repro.parallel.cache import result_from_dict, result_to_dict
+from repro.parallel.pool import task_json
 from repro.scenario import Scenario
 from repro.topology import Grid
 from repro.workload import Fibonacci
@@ -46,50 +47,48 @@ def assert_results_equal(a, b):
     assert a.events_executed == b.events_executed
 
 
-# -- RunSpec ---------------------------------------------------------------------
+# -- the run key and the task JSON ----------------------------------------------
 
-class TestRunSpec:
+class TestRunKey:
     def test_json_round_trip_is_exact(self):
-        spec = RunSpec(
+        spec = Scenario(
             "fib:9",
             "grid:5x5",
             "cwn",
             config=SimConfig(costs=CostModel.high_comm(), pe_speeds=(1.0, 2.0)),
             seed=3,
         )
-        assert RunSpec.from_json(spec.to_json()) == spec
+        assert Scenario.from_dict(json.loads(task_json(spec))) == spec
 
     def test_build_from_objects_matches_spec_strings(self):
-        from_objects = RunSpec.from_scenario(
-            Scenario(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
-        )
-        from_strings = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert from_objects.key() == from_strings.key()
+        from_objects = Scenario(Fibonacci(9), Grid(5, 5), paper_cwn("grid"), seed=1)
+        from_strings = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        assert from_objects.content_hash() == from_strings.content_hash()
 
     def test_key_collapses_spelling_aliases(self):
-        bare = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        explicit = RunSpec("FIB:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
-        assert bare.key() == explicit.key()
+        bare = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        explicit = Scenario("FIB:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
+        assert bare.content_hash() == explicit.content_hash()
 
     def test_key_resolves_family_parameters(self):
         # "cwn" means different Table 1 parameters on grid vs DLM, so the
         # same bare name on different topologies must not share a key
         # beyond the topology difference itself: explicit DLM parameters
         # must equal bare "cwn" on a DLM.
-        bare = RunSpec("fib:9", "dlm:4x8x8", "cwn", seed=1)
-        explicit = RunSpec("fib:9", "dlm:4x8x8", "cwn:radius=5,horizon=1", seed=1)
-        assert bare.key() == explicit.key()
+        bare = Scenario("fib:9", "dlm:4x8x8", "cwn", seed=1)
+        explicit = Scenario("fib:9", "dlm:4x8x8", "cwn:radius=5,horizon=1", seed=1)
+        assert bare.content_hash() == explicit.content_hash()
 
     def test_key_is_stable_across_calls_and_sensitive_to_inputs(self):
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert spec.key() == spec.key()
-        assert spec.key() != RunSpec("fib:9", "grid:5x5", "cwn", seed=2).key()
-        assert spec.key() != RunSpec("fib:10", "grid:5x5", "cwn", seed=1).key()
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        assert spec.content_hash() == spec.content_hash()
+        assert spec.content_hash() != Scenario("fib:9", "grid:5x5", "cwn", seed=2).content_hash()
+        assert spec.content_hash() != Scenario("fib:10", "grid:5x5", "cwn", seed=1).content_hash()
         assert (
-            spec.key()
-            != RunSpec(
+            spec.content_hash()
+            != Scenario(
                 "fib:9", "grid:5x5", "cwn", config=SimConfig(costs=CostModel.unit()), seed=1
-            ).key()
+            ).content_hash()
         )
 
     def test_float_parameters_never_collapse_across_keys(self):
@@ -100,18 +99,20 @@ class TestRunSpec:
 
         odd = GradientModel(low_water_mark=1, high_water_mark=2.0000001)
         assert make_strategy(spec_of(odd)).high_water_mark == 2.0000001
-        k_odd = RunSpec("fib:9", "grid:5x5", spec_of(odd), seed=1).key()
-        k_even = RunSpec("fib:9", "grid:5x5", "gm:lwm=1,hwm=2,interval=20", seed=1).key()
+        k_odd = Scenario("fib:9", "grid:5x5", spec_of(odd), seed=1).content_hash()
+        k_even = Scenario("fib:9", "grid:5x5", "gm:lwm=1,hwm=2,interval=20", seed=1).content_hash()
         assert k_odd != k_even
 
     def test_seed_override_folds_into_canonical_config(self):
-        via_override = RunSpec("fib:9", "grid:5x5", "cwn", seed=5)
-        via_config = RunSpec("fib:9", "grid:5x5", "cwn", config=SimConfig(seed=5))
-        assert via_override.key() == via_config.key()
+        via_override = Scenario("fib:9", "grid:5x5", "cwn", seed=5)
+        via_config = Scenario("fib:9", "grid:5x5", "cwn", config=SimConfig(seed=5))
+        assert via_override.content_hash() == via_config.content_hash()
 
     def test_run_equals_simulate(self):
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
-        assert_results_equal(spec.run(), Scenario("fib:9", "grid:5x5", "cwn", seed=1).run())
+        # A worker runs the scenario it revives from the task JSON.
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        revived = Scenario.from_dict(json.loads(task_json(spec)))
+        assert_results_equal(revived.run(), spec.run())
 
 
 # -- ResultCache -----------------------------------------------------------------
@@ -119,7 +120,7 @@ class TestRunSpec:
 class TestResultCache:
     def test_miss_then_hit_round_trips_result(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         assert cache.get(spec) is None
         assert cache.misses == 1
         result = spec.run()
@@ -133,14 +134,14 @@ class TestResultCache:
 
     def test_alias_specs_share_an_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
-        alias = RunSpec("fib:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
+        alias = Scenario("fib:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
         assert cache.get(alias) is not None
 
     def test_corrupt_entry_recovers_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         path = cache.path_for(spec)
         path.write_text("{ not json at all")
@@ -152,7 +153,7 @@ class TestResultCache:
 
     def test_wrong_schema_or_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         path = cache.path_for(spec)
         payload = json.loads(path.read_text())
@@ -162,7 +163,7 @@ class TestResultCache:
 
     def test_memo_serves_repeat_gets_without_disk(self, tmp_path):
         cache = ResultCache(tmp_path)
-        spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         cache.put(spec, spec.run())
         first = cache.get(spec)  # disk read populates the in-process memo
         cache.path_for(spec).unlink()  # memo is now the only copy
@@ -179,7 +180,7 @@ class TestResultCache:
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         for seed in (1, 2, 3):
-            spec = RunSpec("fib:9", "grid:5x5", "cwn", seed=seed)
+            spec = Scenario("fib:9", "grid:5x5", "cwn", seed=seed)
             cache.put(spec, spec.run())
         stats = cache.stats()
         assert stats.entries == 3
@@ -207,10 +208,10 @@ class TestResultCache:
 # -- the farm --------------------------------------------------------------------
 
 SPECS = [
-    RunSpec("fib:9", "grid:5x5", "cwn", seed=1),
-    RunSpec("fib:9", "grid:5x5", "gm", seed=1),
-    RunSpec("dc:1:55", "dlm:4x8x8", "cwn", seed=2),
-    RunSpec("fib:8", "hypercube:4", "stealing", seed=3),
+    Scenario("fib:9", "grid:5x5", "cwn", seed=1),
+    Scenario("fib:9", "grid:5x5", "gm", seed=1),
+    Scenario("dc:1:55", "dlm:4x8x8", "cwn", seed=2),
+    Scenario("fib:8", "hypercube:4", "stealing", seed=3),
 ]
 
 
@@ -240,7 +241,7 @@ class TestRunMany:
         serial = [spec.run() for spec in SPECS[:2]]  # no parent sink: silent
         with WorkerFleet(workers=2, start_method=start_method) as fleet:
             for task_id, spec in enumerate(SPECS[:2]):
-                fleet.submit(task_id, task_id, spec.to_json())
+                fleet.submit(task_id, task_id, task_json(spec))
             answers = [fleet.next_result(timeout=60) for _ in SPECS[:2]]
         farmed = {task_id: result_from_dict(payload) for task_id, _, _, payload in answers}
         for task_id, b in enumerate(serial):
@@ -259,7 +260,7 @@ class TestRunMany:
         assert [r.strategy for r in farmed] == ["cwn", "gm", "cwn", "stealing"]
 
     def test_failures_raise_with_worker_traceback(self):
-        bad = RunSpec("fib:9", "grid:5x5", "no-such-strategy", seed=1)
+        bad = Scenario("fib:9", "grid:5x5", "no-such-strategy", seed=1)
         with pytest.raises(FarmError, match="no-such-strategy"):
             run_many([bad], jobs=2)
 
@@ -292,8 +293,8 @@ KILL_SEED = 9
 def killer(kill_in_child, wall_clock_guard):
     """A spec whose run SIGKILLs its worker — no exception, no result."""
     wall_clock_guard(120)
-    kill_in_child(RunSpec, "run", lambda spec: spec.seed == KILL_SEED)
-    return RunSpec("fib:9", "grid:5x5", "cwn", seed=KILL_SEED)
+    kill_in_child(Scenario, "run", lambda spec: spec.seed == KILL_SEED)
+    return Scenario("fib:9", "grid:5x5", "cwn", seed=KILL_SEED)
 
 
 class TestWorkerDeath:
@@ -374,12 +375,91 @@ class TestRunBatch:
         assert cache.stats().entries == 0
 
     def test_strict_false_reports_failures_in_place(self):
-        bad = RunSpec("fib:9", "grid:5x5", "no-such-strategy", seed=1)
+        bad = Scenario("fib:9", "grid:5x5", "no-such-strategy", seed=1)
         report = run_batch([SPECS[0], bad], jobs=1, retries=0, strict=False)
         assert report.results[0] is not None
         assert report.results[1] is None
         assert len(report.failures) == 1
         assert "no-such-strategy" in report.failures[0].error
+
+
+    def test_unspellable_runs_run_locally_after_the_farm(self, tmp_path):
+        from repro.core import CWN
+        from repro.obs import telemetry
+
+        odd = Scenario(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"), seed=1)
+        runs = [odd, Scenario("fib:7", "grid:4x4", "gm", seed=1)]
+        cache = ResultCache(tmp_path / "cache")
+        sources = []
+        stream = tmp_path / "stream.jsonl"
+        with telemetry.capture(stream):
+            report = run_batch(
+                runs, jobs=2, cache=cache, progress=lambda _d, _t, source: sources.append(source)
+            )
+        for got, run in zip(report.results, runs):
+            assert_results_equal(got, run.run())
+        assert cache.stats().entries == 1, "an unspellable run is never cached"
+        assert sources == ["sim", "local"]
+        assert (report.local, report.executed) == (1, 2)
+        starts = [e for e in telemetry.read_events(stream) if e["ev"] == "batch.start"]
+        assert [e["total"] for e in starts] == [2]
+        finish = [e for e in telemetry.read_events(stream) if e["ev"] == "batch.finish"]
+        assert finish[0]["local"] == 1
+        rerun = run_batch(runs, jobs=2, cache=cache)
+        assert (rerun.hits, rerun.local, rerun.simulated) == (1, 1, 0)
+
+
+def test_perfbench_runspec_calls(tmp_path, wall_clock_guard):
+    """The calls ``perfbench/`` makes through the ``RunSpec`` alias.
+
+    Its sweep feeds ``RunSpec.from_scenario(Scenario.from_spec(s))`` to
+    ``run_batch``, and its serve tracer keys each task by
+    ``RunSpec.from_json(spec_json).key()`` over the text the service
+    hands to ``WorkerFleet.submit``.
+    """
+    import asyncio
+
+    from repro.parallel.spec import RunSpec
+    from repro.serve import ScenarioService, make_policy
+
+    wall_clock_guard(120)
+    sweep = ["fib:8 @ grid:2x2 / cwn?seed=1", "fib:8 @ grid:2x2 / gm?seed=1", "fib:9 @ grid:4x4 / cwn?seed=2"]
+    cold = run_batch(
+        [RunSpec.from_scenario(Scenario.from_spec(s)) for s in sweep],
+        jobs=2,
+        cache=ResultCache(tmp_path / "sweep"),
+    )
+    assert (cold.hits, cold.simulated) == (0, len(sweep))
+    warm = run_batch(
+        [RunSpec.from_scenario(Scenario.from_spec(s)) for s in sweep],
+        jobs=2,
+        cache=ResultCache(tmp_path / "sweep"),
+    )
+    assert (warm.hits, warm.simulated) == (len(sweep), 0)
+    for spec, got in zip(sweep, warm.results):
+        assert_results_equal(got, Scenario.from_spec(spec).run())
+
+    sent = []
+
+    async def serve():
+        fleet = WorkerFleet(workers=1)
+        submit = fleet.submit
+
+        def record(worker, task_id, spec_json):
+            submit(worker, task_id, spec_json)
+            sent.append(spec_json)
+
+        fleet.submit = record
+        service = ScenarioService(fleet, make_policy("central", 1), cache=ResultCache(tmp_path / "serve"))
+        await service.start()
+        try:
+            return await service.submit(sweep[2])
+        finally:
+            await service.stop()
+
+    answer = asyncio.run(serve())
+    assert answer.source == "computed" and len(sent) == 1
+    assert RunSpec.from_json(sent[0]).key() == Scenario.from_spec(sweep[2]).content_hash() == answer.key
 
 
 # -- wiring through the experiments layer ----------------------------------------

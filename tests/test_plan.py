@@ -15,6 +15,7 @@ contract:
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -22,14 +23,13 @@ import pytest
 from repro.core import CWN, paper_cwn, paper_gm
 from repro.experiments.plan import (
     ExperimentPlan,
-    LocalRun,
     collect_reports,
     execute,
     merge_plans,
-    planned_scenario,
 )
 from repro.oracle.config import CostModel, SimConfig
-from repro.parallel import ResultCache, RunSpec
+from repro.parallel import ResultCache
+from repro.parallel.pool import task_json
 from repro.scenario import Arrivals, Scenario
 from repro.topology import Grid, Hypercube
 from repro.workload import Fibonacci
@@ -37,13 +37,18 @@ from repro.workload import Fibonacci
 
 # -- engine basics ---------------------------------------------------------------
 
+def _unspellable():
+    """A CWN run the spec grammar cannot spell (``tie_break="lowest"``)."""
+    return Scenario(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"), seed=1)
+
+
 class TestExecuteEngine:
     def test_results_reach_reducer_in_plan_order(self):
         plan = ExperimentPlan(
             "demo",
             (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                RunSpec("fib:9", "grid:4x4", "gm", seed=1),
+                Scenario("fib:7", "grid:4x4", "cwn", seed=1),
+                Scenario("fib:9", "grid:4x4", "gm", seed=1),
             ),
             lambda results, meta: [(m, r.workload) for m, r in zip(meta, results)],
             ("a", "b"),
@@ -54,36 +59,36 @@ class TestExecuteEngine:
         with pytest.raises(ValueError, match="meta"):
             ExperimentPlan(
                 "bad",
-                (RunSpec("fib:7", "grid:4x4", "cwn"),),
+                (Scenario("fib:7", "grid:4x4", "cwn"),),
                 lambda r, m: r,
                 ("x", "y"),
             )
 
     def test_local_runs_interleave_in_order(self):
-        spec = RunSpec("fib:7", "grid:4x4", "cwn", seed=1)
-        local = LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run())
+        # The local run executes after the farmed one, yet its result
+        # reaches the reducer in its plan slot.
+        spec = Scenario("fib:7", "grid:4x4", "gm", seed=1)
         plan = ExperimentPlan(
             "mixed",
-            (local, spec),
+            (_unspellable(), spec),
             lambda results, meta: [r.strategy for r in results],
         )
-        assert execute(plan) == ["gm", "cwn"]
+        assert execute(plan) == ["cwn", "gm"]
 
-    def test_unspellable_strategy_degrades_to_local_run(self):
-        odd = CWN(radius=3, horizon=1, tie_break="lowest")
-        run = planned_scenario(Scenario(Fibonacci(7), Grid(4, 4), odd, seed=1))
-        assert isinstance(run, LocalRun)
-        spelled = planned_scenario(Scenario(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1))
-        assert isinstance(spelled, RunSpec)
+    def test_unspellable_strategy_degrades_to_local_run(self, tmp_path):
+        spelled = Scenario(Fibonacci(7), Grid(4, 4), CWN(radius=3, horizon=1), seed=1)
+        seen = []
+        plan = ExperimentPlan("objects", (_unspellable(), spelled), lambda results, meta: results)
+        with collect_reports() as reports:
+            execute(plan, cache=ResultCache(tmp_path), progress=lambda d, t, s: seen.append(s))
+        assert seen == ["sim", "local"], "spellable objects are farmed, the rest run here"
+        assert (reports[0].simulated, reports[0].local) == (1, 1)
 
     def test_progress_reports_every_run(self, tmp_path):
         seen = []
         plan = ExperimentPlan(
             "progress",
-            (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run()),
-            ),
+            (Scenario("fib:7", "grid:4x4", "cwn", seed=1), _unspellable()),
             lambda results, meta: results,
         )
         execute(plan, cache=ResultCache(tmp_path), progress=lambda d, t, s: seen.append((d, t, s)))
@@ -95,10 +100,7 @@ class TestExecuteEngine:
     def test_collect_reports_counts_hits_and_sims(self, tmp_path):
         plan = ExperimentPlan(
             "telemetry",
-            (
-                RunSpec("fib:7", "grid:4x4", "cwn", seed=1),
-                LocalRun(lambda: Scenario("fib:7", "grid:4x4", "gm", seed=1).run()),
-            ),
+            (Scenario("fib:7", "grid:4x4", "cwn", seed=1), _unspellable()),
             lambda results, meta: results,
         )
         with collect_reports() as reports:
@@ -113,7 +115,7 @@ class TestExecuteEngine:
         def sub(n):
             return ExperimentPlan(
                 f"sub{n}",
-                (RunSpec(f"fib:{n}", "grid:4x4", "cwn", seed=1),),
+                (Scenario(f"fib:{n}", "grid:4x4", "cwn", seed=1),),
                 lambda results, meta: results[0].workload,
             )
 
@@ -392,19 +394,19 @@ class TestGoldenQueryStream:
         assert [r.makespan for r in rerun] == [r[1] for r in reference]
 
     def test_open_system_specs_have_distinct_cache_keys(self):
-        closed = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
-        stream = RunSpec(
+        closed = Scenario("fib:9", "grid:4x4", "cwn", seed=1)
+        stream = Scenario(
             "fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(3, 50.0, (0, 5, 10))
         )
-        assert closed.key() != stream.key()
+        assert closed.content_hash() != stream.content_hash()
         # Spacing is never read with one query (it arrives at t=0), so
         # it must not split the key ...
-        decorated = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, 99.0))
-        assert decorated.key() == closed.key()
+        decorated = Scenario("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, 99.0))
+        assert decorated.content_hash() == closed.content_hash()
         # ... but pes places even a single query, so it must.
-        moved = RunSpec("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, pes=(7,)))
-        assert moved.key() != closed.key()
-        assert RunSpec.from_json(stream.to_json()) == stream
+        moved = Scenario("fib:9", "grid:4x4", "cwn", seed=1, arrivals=Arrivals(1, pes=(7,)))
+        assert moved.content_hash() != closed.content_hash()
+        assert Scenario.from_dict(json.loads(task_json(stream))) == stream
 
     def test_single_query_stream_and_bad_counts(self):
         from repro.experiments.query_stream import run_stream

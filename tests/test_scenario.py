@@ -3,11 +3,11 @@
 Three contracts are load-bearing enough to pin exactly:
 
 * **hash stability** — content hashes for pre-Scenario runs must be
-  byte-identical to the ones the old ``RunSpec`` produced (the literal
+  byte-identical to the ones the pre-Scenario farm produced (the literal
   digests below were captured from the PR-4 implementation), so warm
   result caches keep hitting across the redesign;
 * **golden equivalence** — a machine wired by hand from the registries,
-  the scenario object, its farm spec, and the spec grammar must all
+  the scenario object, its farm task, and the spec grammar must all
   produce bit-identical results;
 * **round-tripping** — for every registered strategy/topology/workload,
   canonical spellings are fixed points and ``Scenario.from_spec`` is a
@@ -16,15 +16,18 @@ Three contracts are load-bearing enough to pin exactly:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import CWN, STRATEGIES, make_strategy, spec_of as strategy_spec_of
 from repro.core import canonical_spec as canonical_strategy
-from repro.experiments.plan import LocalRun, planned_scenario
 from repro.oracle.config import CostModel, SimConfig
 from repro.oracle.machine import Machine
-from repro.parallel import ResultCache, RunSpec, run_batch
+from repro.parallel import ResultCache, run_batch
+from repro.parallel.pool import task_json
 from repro.scenario import Arrivals, Scenario
 from repro.topology import (
     TOPOLOGIES,
@@ -51,7 +54,8 @@ def assert_results_equal(a, b):
     assert a.hop_histogram == b.hop_histogram
 
 
-#: (RunSpec kwargs, sha256) captured from the pre-Scenario implementation.
+#: (Scenario kwargs, sha256) captured from the pre-Scenario implementation,
+#: where they were the kwargs and key() of the farm's RunSpec.
 #: These digests address real cache entries on users' disks — they must
 #: never change.
 GOLDEN_KEYS = [
@@ -87,26 +91,27 @@ class TestHashStability:
     @pytest.mark.parametrize("kwargs,expected", GOLDEN_KEYS,
                              ids=[k[0]["strategy"] + "-" + str(i) for i, k in enumerate(GOLDEN_KEYS)])
     def test_runspec_keys_unchanged(self, kwargs, expected):
-        assert RunSpec(**kwargs).key() == expected
+        assert Scenario(**kwargs).content_hash() == expected
 
     @pytest.mark.parametrize("kwargs,expected", GOLDEN_KEYS[:4],
                              ids=["sc0", "sc1", "sc2", "sc3"])
-    def test_scenario_hash_is_the_runspec_key(self, kwargs, expected):
-        spec = RunSpec(**kwargs)
-        assert spec.scenario().content_hash() == expected
-        assert spec.canonical_dict() == spec.scenario().canonical_dict()
+    def test_scenario_hash_is_the_runspec_key(self, kwargs, expected, tmp_path):
+        # The hash is SHA-256 over the compact sorted canonical dict,
+        # and it is the cache's address for the run.
+        sc = Scenario(**kwargs)
+        canonical = json.dumps(sc.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected
+        assert ResultCache(tmp_path).path_for(sc).stem == expected
 
     def test_warm_cache_written_before_redesign_still_hits(self, tmp_path):
         """A result cached under the scenario's hash is found by every
         other spelling of the same run (the PR-4 warm-cache contract)."""
         cache = ResultCache(tmp_path)
         first = run_batch(
-            [RunSpec("fib:9", "grid:4x4", "cwn", seed=1)], cache=cache
+            [Scenario("fib:9", "grid:4x4", "cwn", seed=1)], cache=cache
         )
         assert (first.hits, first.simulated) == (0, 1)
-        respelled = RunSpec.from_scenario(
-            Scenario.from_spec("FIB:9 @ grid:4x4 / cwn:radius=9,horizon=2?seed=1")
-        )
+        respelled = Scenario.from_spec("FIB:9 @ grid:4x4 / cwn:radius=9,horizon=2?seed=1")
         again = run_batch([respelled], cache=cache)
         assert (again.hits, again.simulated) == (1, 0)
         assert_results_equal(first.results[0], again.results[0])
@@ -140,7 +145,7 @@ class TestGoldenEquivalence:
         direct = self._machine(**case).run()
         scenario = Scenario(**case)
         assert_results_equal(direct, scenario.run())
-        assert_results_equal(direct, RunSpec.from_scenario(scenario).run())
+        assert_results_equal(direct, Scenario.from_dict(json.loads(task_json(scenario))).run())
         assert_results_equal(direct, Scenario.from_spec(scenario.spec).run())
 
     def test_build_machine_is_scenario_build(self):
@@ -322,19 +327,23 @@ class TestScenarioObjects:
         assert spelled.topology == "grid:4x4"
         assert spelled.strategy == "cwn:radius=3,horizon=1"
 
-    def test_unspellable_objects_degrade_to_local_runs(self):
+    def test_unspellable_objects_degrade_to_local_runs(self, tmp_path):
         sc = Scenario(Fibonacci(9), Grid(4, 4), CWN(radius=3, horizon=1, tie_break="lowest"))
         with pytest.raises(ValueError):
             sc.spelled()
-        run = planned_scenario(sc)
-        assert isinstance(run, LocalRun)
-        assert "Fibonacci" in run.label and "CWN" in run.label
-        assert run.thunk().result_value == 34
+        cache = ResultCache(tmp_path)
+        report = run_batch([sc], cache=cache)
+        assert (report.local, report.simulated) == (1, 0)
+        assert cache.stats().entries == 0
+        assert report.results[0].result_value == 34
 
-    def test_spellable_objects_become_runspecs(self):
-        run = planned_scenario(Scenario(Fibonacci(9), Grid(4, 4), "cwn", seed=1))
-        assert isinstance(run, RunSpec)
-        assert run.workload == "fib:9"
+    def test_spellable_objects_become_runspecs(self, tmp_path):
+        sc = Scenario(Fibonacci(9), Grid(4, 4), "cwn", seed=1)
+        assert sc.spelled().workload == "fib:9"
+        cache = ResultCache(tmp_path)
+        report = run_batch([sc], cache=cache)
+        assert (report.local, report.simulated) == (0, 1)
+        assert cache.get(Scenario("fib:9", "grid:4x4", "cwn", seed=1)) is not None
 
     def test_dict_round_trip_preserves_hash(self):
         sc = Scenario("fib:10", "grid:4x4", "cwn", seed=2, arrivals=Arrivals(2, 30.0))
@@ -343,5 +352,6 @@ class TestScenarioObjects:
         assert again.content_hash() == sc.content_hash()
 
     def test_runspec_scenario_round_trip(self):
-        spec = RunSpec("fib:10", "grid:4x4", "cwn", seed=2, arrivals=Arrivals(2, 30.0))
-        assert RunSpec.from_scenario(spec.scenario()) == spec
+        # The fleet's task JSON round-trips a scenario exactly.
+        sc = Scenario("fib:10", "grid:4x4", "cwn", seed=2, arrivals=Arrivals(2, 30.0))
+        assert Scenario.from_dict(json.loads(task_json(sc))) == sc

@@ -22,8 +22,9 @@ import sys
 
 import pytest
 
-from repro.parallel import RunSpec, result_json
+from repro.parallel import result_json
 from repro.parallel.cache import ResultCache
+from repro.parallel.pool import task_json
 from repro.scenario import Arrivals, Scenario
 from repro.serve import (
     POLICY_NAMES,
@@ -183,25 +184,25 @@ class TestPolicies:
 
 class TestFleet:
     def test_runs_a_spec_and_matches_direct_run(self):
-        spec = RunSpec("fib:8", "grid:2x2", "cwn", seed=1)
+        spec = Scenario("fib:8", "grid:2x2", "cwn", seed=1)
         from repro.parallel.cache import result_to_dict
 
         with WorkerFleet(workers=1) as fleet:
-            fleet.submit(0, 7, spec.to_json())
+            fleet.submit(0, 7, task_json(spec))
             task_id, worker, ok, payload = fleet.next_result(timeout=60)
         assert (task_id, worker, ok) == (7, 0, True)
         assert payload == result_to_dict(spec.run())
         assert fleet.outstanding == [0]
 
     def test_failure_travels_home_as_data_and_worker_survives(self):
-        spec = RunSpec("fib:8", "grid:2x2", "cwn", seed=1)
+        spec = Scenario("fib:8", "grid:2x2", "cwn", seed=1)
         with WorkerFleet(workers=1) as fleet:
             fleet.submit(0, 1, "NOT VALID JSON")
             task_id, _worker, ok, payload = fleet.next_result(timeout=60)
             assert task_id == 1 and not ok
             assert "Traceback" in payload
             # The worker must stay warm after a poisoned task.
-            fleet.submit(0, 2, spec.to_json())
+            fleet.submit(0, 2, task_json(spec))
             task_id, _worker, ok, _payload = fleet.next_result(timeout=60)
             assert task_id == 2 and ok
             assert fleet.alive() == [True]
@@ -213,14 +214,14 @@ class TestFleet:
         wall_clock_guard(60)
         times = tuple(float(t) for t in range(9000))
         specs = [
-            RunSpec("fib:1", "grid:2x2", "cwn", seed=seed, arrivals=Arrivals(len(times), times=times))
+            Scenario("fib:1", "grid:2x2", "cwn", seed=seed, arrivals=Arrivals(len(times), times=times))
             for seed in (1, 2)
         ]
         from repro.parallel.cache import result_to_dict
 
         with WorkerFleet(workers=1) as fleet:
             for task_id, spec in enumerate(specs):
-                fleet.submit(0, task_id, spec.to_json())
+                fleet.submit(0, task_id, task_json(spec))
             answers = [fleet.next_result(timeout=60) for _ in specs]
         assert [answer[:3] for answer in answers] == [(0, 0, True), (1, 0, True)]
         assert answers[1][3] == result_to_dict(specs[1].run())
@@ -294,6 +295,43 @@ class TestService:
         assert first.result == second.result == third.result
         assert dispatched == 1
         assert other_stats.dispatched == 0, "warm hit must not touch the fleet"
+
+    def test_failed_cache_write_still_answers(self, tmp_path, wall_clock_guard):
+        # A cache write that fails (here: a full disk) must not end the
+        # pump: every computed request is still answered, and stop()
+        # finds nothing left in flight.
+        import errno
+        import time
+
+        from repro.obs import telemetry
+
+        wall_clock_guard(60)
+
+        class FullDisk(ResultCache):
+            def put(self, scenario, result):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def go():
+            service = _service()
+            service.cache = FullDisk(tmp_path)
+            await service.start()
+            try:
+                first = await asyncio.wait_for(service.submit(SPEC), 20)
+                second = await asyncio.wait_for(service.submit(OTHER), 20)
+            finally:
+                start = time.perf_counter()
+                await service.stop()
+            return first, second, time.perf_counter() - start
+
+        stream = tmp_path / "serve.jsonl"
+        with telemetry.capture(stream):
+            first, second, stop_s = asyncio.run(go())
+        for spec, answer in ((SPEC, first), (OTHER, second)):
+            assert answer.source == "computed"
+            assert json.dumps(answer.result, sort_keys=True, separators=(",", ":")) == _direct(spec)
+        assert stop_s < 5.0
+        errors = [e for e in telemetry.read_events(stream) if e["ev"] == "serve.cache_error"]
+        assert len(errors) == 2 and "No space left" in errors[0]["error"]
 
     def test_result_matches_direct_scenario_run_byte_for_byte(self, tmp_path):
         async def go():
@@ -417,7 +455,7 @@ KILL_SEED = 3
 def killing(kill_in_child, wall_clock_guard):
     """A request with seed ``KILL_SEED`` SIGKILLs the worker running it."""
     wall_clock_guard(120)
-    kill_in_child(RunSpec, "run", lambda spec: spec.seed == KILL_SEED)
+    kill_in_child(Scenario, "run", lambda spec: spec.seed == KILL_SEED)
 
 
 def _direct(spec: str) -> str:
@@ -644,6 +682,20 @@ class TestStdinFront:
         first, second = by_spec[SPEC]
         assert first["result"] == second["result"]
         assert {a["source"] for a in answers} <= {"computed", "coalesced", "cache"}
+
+    def test_unwritable_cache_dir_still_answers(self, tmp_path, monkeypatch, wall_clock_guard):
+        # REPRO_CACHE_DIR beneath a regular file: every cache write fails,
+        # for root too, yet the request is answered and the front exits.
+        wall_clock_guard(60)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        spec = "fib:5 @ grid:2x2 / cwn"
+        out = io.StringIO()
+        assert serve_stdin(lines=io.StringIO(spec + "\n"), out=out, workers=1, window=0.005) == 0
+        answers = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [a["source"] for a in answers] == ["computed"]
+        assert json.dumps(answers[0]["result"], sort_keys=True, separators=(",", ":")) == _direct(spec)
 
     def test_bad_lines_answer_errors_without_dying(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -199,9 +199,10 @@ class TestInstrumentation:
         assert plain.samples == instrumented.samples
 
     def test_cache_emits_hits_and_misses(self, tmp_path):
-        from repro.parallel import ResultCache, RunSpec
+        from repro.parallel import ResultCache
+        from repro.scenario import Scenario
 
-        spec = RunSpec("fib:9", "grid:4x4", "cwn", seed=1)
+        spec = Scenario("fib:9", "grid:4x4", "cwn", seed=1)
         cache = ResultCache(tmp_path / "cache")
         with telemetry.capture() as sink:
             assert cache.get(spec) is None
@@ -216,7 +217,7 @@ class TestInstrumentation:
         from repro.parallel import ResultCache
         from repro.scenario import Scenario
 
-        plan = ExperimentPlan.from_scenarios(
+        plan = ExperimentPlan(
             "obs-test",
             [Scenario("fib:9", "grid:4x4", "cwn", seed=s) for s in (1, 2)],
             lambda results, _meta: list(results),
