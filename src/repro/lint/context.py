@@ -20,7 +20,6 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 __all__ = ["ClassInfo", "FileContext", "ProjectIndex", "parents", "rel_path"]
 
@@ -44,14 +43,6 @@ def parents(tree: ast.AST) -> None:
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             child._lint_parent = node  # type: ignore[attr-defined]
-
-
-def ancestors(node: ast.AST) -> Iterator[ast.AST]:
-    """The parent chain of ``node``, innermost first."""
-    cur = getattr(node, "_lint_parent", None)
-    while cur is not None:
-        yield cur
-        cur = getattr(cur, "_lint_parent", None)
 
 
 @dataclass

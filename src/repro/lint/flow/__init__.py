@@ -20,16 +20,16 @@ Layers (each its own module):
   verdict;
 * :mod:`.taint` — determinism taint and set-returning-helper summaries.
 
-Three lint rules sit on top (``shardable-contract``,
-``determinism-taint``, ``helper-set-iteration``), and
-:func:`verify_strategy` gives the PDES coordinator a runtime
-cross-check (``check_shardable(..., verify=True)``).
+What counts as a wall-clock read, a module-RNG draw or a set comes from
+:mod:`repro.lint.sources`, the same definitions the point rules use.
+Two lint rules sit on top (``shardable-contract`` and
+``determinism-taint``), and ``unordered-iteration`` asks the
+return-set fixpoint whether a call's result is a set.  The proof runs
+in ``repro lint``, not at run time: the PDES layer trusts the declared
+``shardable`` flag that the lint gate has already proved.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
-from typing import Optional
 
 from .model import ACTING, Effect, GLOBAL, Loc, OTHER, Step, Summary, Trace
 from .project import Closure, FlowProject, flow_for
@@ -63,7 +63,6 @@ __all__ = [
     "flow_for",
     "logged_counters",
     "strategy_reports",
-    "verify_strategy",
 ]
 
 
@@ -82,35 +81,3 @@ def strategy_reports(index: "object") -> "dict[str, StrategyReport]":
     index._strategy_reports = reports  # type: ignore[attr-defined]
     return reports
 
-
-_VERIFY_CACHE: "dict[str, StrategyReport] | None" = None
-
-
-def _installed_reports() -> "dict[str, StrategyReport]":
-    """Strategy reports for the *installed* package (module-cached)."""
-    global _VERIFY_CACHE
-    if _VERIFY_CACHE is None:
-        from ..context import FileContext, ProjectIndex
-        from ..engine import collect_files, default_root
-
-        index = ProjectIndex()
-        for path in collect_files([default_root()]):
-            try:
-                index.add(FileContext.parse(Path(path)))
-            except (SyntaxError, UnicodeDecodeError, OSError):
-                continue
-        _VERIFY_CACHE = strategy_reports(index)
-    return _VERIFY_CACHE
-
-
-def verify_strategy(class_name: str) -> Optional[StrategyReport]:
-    """The inferred report for a strategy *class* name (or None).
-
-    Used by ``check_shardable(..., verify=True)`` to cross-check the
-    declared ``shardable`` flag against the static inference before
-    committing to a sharded run.
-    """
-    for report in _installed_reports().values():
-        if report.cls == class_name:
-            return report
-    return None

@@ -24,8 +24,10 @@ What it understands:
   site PE — including ``lambda pe=pe: ...`` default-binding, local
   closures, and tuple payloads (``after``'s and a tick's ``payload=``
   bind the callback's first parameter alike);
-* wall-clock reads and hash-order set iteration (via the same local
-  set-type inference the ``unordered-iteration`` rule uses).
+* wall-clock reads, module-RNG draws and hash-order set iteration, as
+  :mod:`repro.lint.sources` defines them for every rule (imports
+  resolved, so ``from time import perf_counter`` is a clock read and
+  ``random.Random(seed)`` is not a draw).
 
 Everything it does not understand defaults conservatively to
 :data:`~.model.OTHER` — the analysis may over-report, never
@@ -37,6 +39,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..rules._ast_util import dotted
+from ..sources import SetTypes, Sources, order_sensitive
 from .model import (
     ACTING,
     Binding,
@@ -116,80 +120,8 @@ RNG_METHODS = {
     "uniform",
 }
 
-#: module-state clock reads
-CLOCK_CALLS = {
-    "time.time",
-    "time.perf_counter",
-    "time.monotonic",
-    "time.process_time",
-    "time.time_ns",
-    "time.perf_counter_ns",
-    "time.monotonic_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-}
-
 #: identity-preserving wrappers ``loc(f(x)) == loc(x)``
 _TRANSPARENT_CALLS = {"int", "abs"}
-
-#: order-sensitive reducers (mirrors the unordered-iteration rule)
-_ORDER_SENSITIVE = {"sum", "tuple", "list", "join", "fsum", "accumulate"}
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if isinstance(cur, ast.Name):
-        parts.append(cur.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class _LocalSets:
-    """Names statically set-typed in one function (order-taint source)."""
-
-    def __init__(self, scope: ast.AST) -> None:
-        self.names: Set[str] = set()
-        for _ in range(2):
-            for node in ast.walk(scope):
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    target, value = node.target, node.value
-                if isinstance(target, ast.Name) and value is not None:
-                    if self.is_set(value):
-                        self.names.add(target.id)
-                    else:
-                        self.names.discard(target.id)
-
-    def is_set(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in self.names
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "union",
-                "intersection",
-                "difference",
-                "symmetric_difference",
-            ):
-                return self.is_set(func.value)
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self.is_set(node.left) or self.is_set(node.right)
-        return False
 
 
 class _Extractor:
@@ -201,7 +133,8 @@ class _Extractor:
         env: Dict[str, Loc],
         mach: Set[str],
         eng: Set[str],
-        sets: _LocalSets,
+        sets: SetTypes,
+        sources: Sources,
         self_name: Optional[str],
     ) -> None:
         self.s = summary
@@ -209,6 +142,7 @@ class _Extractor:
         self.mach = mach  # names aliasing self.machine
         self.eng = eng  # names aliasing <machine>.engine
         self.sets = sets
+        self.sources = sources
         self.self_name = self_name
         self.calls: List[CallEdge] = []
         self.scheds: List[SchedEdge] = []
@@ -258,7 +192,7 @@ class _Extractor:
     def _is_machine(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Name):
             return node.id in self.mach
-        name = _dotted(node)
+        name = dotted(node)
         return name is not None and (
             name == "self.machine" or name.endswith(".machine")
         )
@@ -407,8 +341,7 @@ class _Extractor:
             self.env[name] = self.loc_of(value)
             self.mach.discard(name)
             self.eng.discard(name)
-            dotted = _dotted(value)
-            if dotted == "self.machine" or (
+            if dotted(value) == "self.machine" or (
                 isinstance(value, ast.Name) and value.id in self.mach
             ):
                 self.mach.add(name)
@@ -568,24 +501,30 @@ class _Extractor:
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
-        name = _dotted(func)
 
-        if name is not None and name in CLOCK_CALLS:
-            self.emit(node, Effect("clock", name), f"reads the wall clock ({name})")
+        clock = self.sources.clock(node)
+        if clock is not None:
+            self.emit(node, Effect("clock", clock), f"reads the wall clock ({clock})")
             self._walk_args(node)
             return
 
-        if name is not None and (
-            name.startswith("random.") or name.startswith("np.random.")
-            or name.startswith("numpy.random.")
-        ):
+        rng = self.sources.rng_draw(node)
+        if rng is not None:
             self.emit(
                 node,
-                Effect("rng", name, GLOBAL),
-                f"draws from module RNG state ({name})",
+                Effect("rng", rng, GLOBAL),
+                f"draws from module RNG state ({rng})",
             )
             self._walk_args(node)
             return
+
+        reducer = order_sensitive(node)
+        if reducer is not None and self.sets.is_set(node.args[0]):
+            self.emit(
+                node.args[0],
+                Effect("set-iter", "set iteration"),
+                f"{reducer}() consumes a set in hash order",
+            )
 
         if isinstance(func, ast.Attribute):
             # engine.schedule / after / tick
@@ -688,14 +627,6 @@ class _Extractor:
             return
 
         if isinstance(func, ast.Name):
-            if func.id in _ORDER_SENSITIVE and node.args and self.sets.is_set(
-                node.args[0]
-            ):
-                self.emit(
-                    node.args[0],
-                    Effect("set-iter", "set iteration"),
-                    f"{func.id}() consumes a set in hash order",
-                )
             if func.id not in _TRANSPARENT_CALLS:
                 self.calls.append(
                     CallEdge(
@@ -896,7 +827,7 @@ class _Extractor:
                 env[arg.arg] = OTHER
         sub = _Extractor(
             synthetic, env, set(self.mach), set(self.eng), self.sets,
-            self.self_name,
+            self.sources, self.self_name,
         )
         sub.nested = dict(self.nested)
         sub.expr(node.body)
@@ -927,7 +858,7 @@ class _Extractor:
             env[arg.arg] = OTHER
         sub = _Extractor(
             synthetic, env, set(self.mach), set(self.eng),
-            _LocalSets(node), self.self_name,
+            SetTypes(node, self.sets), self.sources, self.self_name,
         )
         sub.nested = dict(self.nested)
         sub.block(node.body)
@@ -960,9 +891,12 @@ class _Extractor:
 
 
 def extract(
-    node: ast.FunctionDef, rel: str, owner: Optional[str]
+    node: ast.FunctionDef, rel: str, owner: Optional[str], sources: Sources
 ) -> Summary:
-    """Extract the :class:`Summary` of one function definition."""
+    """Extract the :class:`Summary` of one function definition.
+
+    ``sources`` is the recognizer of the file that defines ``node``.
+    """
     args = node.args
     names = [a.arg for a in args.args]
     self_name: Optional[str] = None
@@ -975,7 +909,7 @@ def extract(
     summary = Summary(qual, rel, node.lineno, owner, params)
     env: Dict[str, Loc] = {p: param_loc(p) for p in params}
     extractor = _Extractor(
-        summary, env, set(), set(), _LocalSets(node), self_name
+        summary, env, set(), set(), SetTypes(node), sources, self_name
     )
     extractor.block(node.body)
     extractor.finish()

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..context import ProjectIndex
+from ..sources import KERNEL_SCOPE, Sources
 from .extract import extract
 from .model import (
     Bindings,
@@ -43,15 +44,7 @@ from .model import (
     substitute_loc,
 )
 
-__all__ = ["Closure", "FlowProject", "ResolvedSched", "SCOPE"]
-
-#: package-relative prefixes the flow engine builds its tables over
-SCOPE: Tuple[str, ...] = (
-    "repro/core/",
-    "repro/oracle/",
-    "repro/pdes/",
-    "repro/topology/",
-)
+__all__ = ["Closure", "FlowProject", "ResolvedSched"]
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ class FlowProject:
     """Tables + summary/closure caches over one :class:`ProjectIndex`."""
 
     def __init__(
-        self, index: ProjectIndex, prefixes: Tuple[str, ...] = SCOPE
+        self, index: ProjectIndex, prefixes: Tuple[str, ...] = KERNEL_SCOPE
     ) -> None:
         self.index = index
         #: class name -> base-class names (first definition wins)
@@ -137,6 +130,7 @@ class FlowProject:
         self._synthetic: Dict[str, Summary] = {}
         self._mro: Dict[str, Tuple[str, ...]] = {}
         self._closures: Dict[Tuple[str, str], Closure] = {}
+        self._sources: Dict[str, Sources] = {}
         for rel, ctx in sorted(index.files.items()):
             if not rel.startswith(prefixes):
                 continue
@@ -180,13 +174,20 @@ class FlowProject:
         self._mro[cls] = tuple(out)
         return self._mro[cls]
 
+    def sources(self, rel: str) -> Sources:
+        """The clock/RNG recognizer of one file (built once)."""
+        cached = self._sources.get(rel)
+        if cached is None:
+            cached = self._sources[rel] = Sources(self.index.files[rel].tree)
+        return cached
+
     def summary(self, node: ast.FunctionDef, rel: str, owner: Optional[str]) -> Summary:
         qual = f"{owner}.{node.name}" if owner else node.name
         key = f"{rel}:{qual}"
         cached = self._summaries.get(key)
         if cached is not None:
             return cached
-        summary = extract(node, rel, owner)
+        summary = extract(node, rel, owner, self.sources(rel))
         self._summaries[key] = summary
         for synthetic in summary.synthetics:
             self._synthetic[synthetic.key] = synthetic
@@ -342,9 +343,3 @@ def flow_for(index: ProjectIndex) -> FlowProject:
     index._flow_project = project  # type: ignore[attr-defined]
     return project
 
-
-def iter_scope_files(index: ProjectIndex, prefixes: Iterable[str]) -> Iterable:
-    pref = tuple(prefixes)
-    for rel in sorted(index.files):
-        if rel.startswith(pref):
-            yield index.files[rel]

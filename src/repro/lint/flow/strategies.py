@@ -34,14 +34,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..context import ClassInfo, ProjectIndex
+from ..context import ProjectIndex
+from ..sources import SHARD_MODULE, read_logged_counters
 from .model import (
     ACTING,
     Bindings,
     Effect,
     GLOBAL,
     OTHER,
-    Step,
     Summary,
     Trace,
     describe_loc,
@@ -142,31 +142,11 @@ class StrategyReport:
         return sorted(lines)
 
 
-def _string_set(value: ast.expr) -> Optional[Set[str]]:
-    if isinstance(value, ast.Call) and value.args:
-        return _string_set(value.args[0])
-    if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-        out: Set[str] = set()
-        for elt in value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.add(elt.value)
-            else:
-                return None
-        return out
-    return None
-
-
 def logged_counters(index: ProjectIndex) -> Optional[Set[str]]:
     """``_LOGGED_COUNTERS`` from ``repro/pdes/shard.py`` (None if absent)."""
-    shard = index.find_file("repro/pdes/shard.py")
-    if shard is None:
-        return None
-    for node in ast.walk(shard.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id == "_LOGGED_COUNTERS":
-                return _string_set(node.value)
-    return None
+    shard = index.find_file(SHARD_MODULE)
+    found = None if shard is None else read_logged_counters(shard)
+    return None if found is None else found[0]
 
 
 def discover_strategies(

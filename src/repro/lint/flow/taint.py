@@ -8,15 +8,17 @@ sources — wall-clock reads, module-state RNG draws, hash-order set
 iteration — through local assignments and function returns, and reports
 them when they reach a determinism-critical sink: a ``SimResult(...)``
 field, an undo-logged ``stats.<counter>`` write, or a cache-key hash.
-Each finding carries the full propagation chain for ``--explain``.
+Each finding carries the full propagation chain for ``--explain``.  The
+sources are the ones the point rules see (:mod:`repro.lint.sources`),
+so ``from time import perf_counter`` and ``import time as t`` taint a
+value as surely as ``time.perf_counter()`` does.
 
-**Return-set summaries** close the ``unordered-iteration`` rule's
-documented blind spot: a helper that *returns* a set defeats that
-rule's local type inference, so ``for x in neighbors_of(n)`` iterates
-in hash order unflagged.  A small fixpoint marks every function whose
-return value may be a set (directly, or by returning another
-set-returning call), and the ``helper-set-iteration`` rule flags raw
-iteration of such calls in kernel scope.
+**Return-set summaries** let ``unordered-iteration`` see sets that
+cross a call: a helper that *returns* a set is invisible to local type
+inference, so ``for x in neighbors_of(n)`` would iterate in hash order
+unflagged.  A small fixpoint marks every function whose return value
+may be a set (directly, or by returning another set-returning call),
+and the rule treats such a call's result as a set.
 
 Both analyses resolve ``self.m()`` through the *defining* class's MRO
 (no per-subclass contexts — precision strategies need, taint does not).
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..context import FileContext, ProjectIndex
-from .extract import CLOCK_CALLS, _dotted
+from ..rules._ast_util import dotted, enclosing_function
+from ..sources import SetTypes, scope_nodes
 from .model import Step, Trace, join_trace
 from .project import FlowProject, flow_for
 
@@ -51,34 +54,6 @@ _HASH_CALLS = {
     "content_hash",
 }
 
-#: set-returning builtins / methods (mirrors the iteration rule)
-_SET_CALLS = {"set", "frozenset"}
-_SET_METHODS = {
-    "union",
-    "intersection",
-    "difference",
-    "symmetric_difference",
-    "copy",
-}
-
-
-def _is_clock(call: ast.Call) -> Optional[str]:
-    name = _dotted(call.func)
-    if name is not None and name in CLOCK_CALLS:
-        return name
-    return None
-
-
-def _is_global_rng(call: ast.Call) -> Optional[str]:
-    name = _dotted(call.func)
-    if name is None:
-        return None
-    if name.startswith("random.") or name.startswith("np.random.") or name.startswith(
-        "numpy.random."
-    ):
-        return name
-    return None
-
 
 #: (rel, owner-or-None, function name) — one analyzed function
 FuncRef = Tuple[str, Optional[str], str]
@@ -92,43 +67,6 @@ def _functions(ctx: FileContext) -> Iterator[Tuple[Optional[str], ast.FunctionDe
             for sub in stmt.body:
                 if isinstance(sub, ast.FunctionDef):
                     yield stmt.name, sub
-
-
-class _LocalSets:
-    """Set-typed local names (the iteration rule's two-pass inference)."""
-
-    def __init__(self, scope: ast.AST) -> None:
-        self.names: Set[str] = set()
-        for _ in range(2):
-            for node in ast.walk(scope):
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    target, value = node.target, node.value
-                if isinstance(target, ast.Name) and value is not None:
-                    if self.is_set(value):
-                        self.names.add(target.id)
-                    else:
-                        self.names.discard(target.id)
-
-    def is_set(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in self.names
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _SET_CALLS:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-                return self.is_set(func.value)
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self.is_set(node.left) or self.is_set(node.right)
-        return False
 
 
 def _call_ref(
@@ -169,9 +107,9 @@ def returns_set_keys(project: FlowProject) -> Set[FuncRef]:
         ctx = project.index.files[rel]
         for owner, node in _functions(ctx):
             ref: FuncRef = (ctx.rel, owner, node.name)
-            sets = _LocalSets(node)
+            sets = SetTypes(node)
             name_from_call: Dict[str, List[FuncRef]] = {}
-            for sub in ast.walk(node):
+            for sub in scope_nodes(node):
                 if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
                     target = sub.targets[0]
                     if isinstance(target, ast.Name) and isinstance(
@@ -180,7 +118,7 @@ def returns_set_keys(project: FlowProject) -> Set[FuncRef]:
                         refs = _call_ref(project, ctx.rel, owner, sub.value)
                         if refs:
                             name_from_call[target.id] = refs
-            for sub in ast.walk(node):
+            for sub in scope_nodes(node):
                 if not isinstance(sub, ast.Return) or sub.value is None:
                     continue
                 value = sub.value
@@ -210,13 +148,13 @@ def set_returning_call(
     ctx: FileContext,
     owner: Optional[str],
     call: ast.Call,
-) -> Optional[FuncRef]:
-    """The set-returning function this call resolves to (or None)."""
+) -> Optional[str]:
+    """The name of the set-returning function this call resolves to (or None)."""
     project = flow_for(index)
     known = returns_set_keys(project)
     for ref in _call_ref(project, ctx.rel, owner, call):
         if ref in known:
-            return ref
+            return ref[2]
     return None
 
 
@@ -284,15 +222,16 @@ class TaintAnalysis:
         self, ctx: FileContext, node: ast.expr
     ) -> Optional[Tuple[str, Step]]:
         """A direct nondeterminism source inside this expression."""
+        sources = self.project.sources(ctx.rel)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                clock = _is_clock(sub)
+                clock = sources.clock(sub)
                 if clock is not None:
                     return (
                         f"wall clock ({clock})",
                         Step("", ctx.rel, sub.lineno, f"{clock}() read here"),
                     )
-                rng = _is_global_rng(sub)
+                rng = sources.rng_draw(sub)
                 if rng is not None:
                     return (
                         f"module RNG state ({rng})",
@@ -304,7 +243,14 @@ class TaintAnalysis:
         self, ctx: FileContext, owner: Optional[str], node: ast.FunctionDef
     ) -> Dict[str, Tuple[str, Trace]]:
         """name -> (source description, chain) for tainted locals."""
-        sets = _LocalSets(node)
+        # the env is flat over nested defs, but each def keeps its own sets
+        sets: Dict[ast.AST, SetTypes] = {node: SetTypes(node)}
+
+        def sets_at(scope: ast.AST) -> SetTypes:
+            if scope not in sets:
+                sets[scope] = SetTypes(scope, sets_at(enclosing_function(scope) or node))
+            return sets[scope]
+
         env: Dict[str, Tuple[str, Trace]] = {}
         for _ in range(2):  # two passes resolve forward chains enough
             for sub in ast.walk(node):
@@ -342,7 +288,8 @@ class TaintAnalysis:
                         desc = chain[-1].note if chain else "nondeterministic"
                         env[sub.target.id] = (desc, join_trace(step, chain))
                 elif isinstance(sub, (ast.For, ast.AsyncFor)):
-                    if sets.is_set(sub.iter) and isinstance(sub.target, ast.Name):
+                    scope = enclosing_function(sub) or node
+                    if sets_at(scope).is_set(sub.iter) and isinstance(sub.target, ast.Name):
                         step = Step(
                             self._qual(owner, node.name),
                             ctx.rel,
@@ -412,7 +359,7 @@ class TaintAnalysis:
     ) -> Iterator[TaintFinding]:
         # sink 1: SimResult(...) fields
         if isinstance(node, ast.Call):
-            name = _dotted(node.func)
+            name = dotted(node.func)
             last = name.rsplit(".", 1)[-1] if name else None
             if last == "SimResult":
                 for kw in node.keywords:

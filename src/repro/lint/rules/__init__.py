@@ -78,7 +78,6 @@ class Rule:
 from . import cache_key  # noqa: E402,F401
 from . import determinism_taint  # noqa: E402,F401
 from . import fork_state  # noqa: E402,F401
-from . import helper_set_iteration  # noqa: E402,F401
 from . import iteration  # noqa: E402,F401
 from . import registry_contract  # noqa: E402,F401
 from . import rng  # noqa: E402,F401

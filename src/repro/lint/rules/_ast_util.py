@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 __all__ = [
-    "call_name",
     "dotted",
     "enclosing_class",
     "enclosing_function",
@@ -32,11 +30,6 @@ def dotted(node: ast.expr) -> str | None:
         parts.append(cur.id)
         return ".".join(reversed(parts))
     return None
-
-
-def call_name(node: ast.Call) -> str | None:
-    """The dotted name a call targets (``time.perf_counter`` etc.)."""
-    return dotted(node.func)
 
 
 def import_aliases(tree: ast.Module, module: str) -> set[str]:
@@ -78,13 +71,6 @@ def enclosing_class(node: ast.AST) -> ast.ClassDef | None:
             return cur
         cur = getattr(cur, "_lint_parent", None)
     return None
-
-
-def ancestors(node: ast.AST) -> Iterator[ast.AST]:
-    cur = getattr(node, "_lint_parent", None)
-    while cur is not None:
-        yield cur
-        cur = getattr(cur, "_lint_parent", None)
 
 
 def resolve_module_dict(tree: ast.Module, name: str) -> ast.Dict | None:

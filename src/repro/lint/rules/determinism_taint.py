@@ -5,10 +5,11 @@ of the seed alone: :class:`SimResult` fields (golden suites diff them),
 cache keys (``content_hash`` / hashlib digests — a nondeterministic key
 silently splits the cache), and the ``stats`` counters the PDES shard
 boundary protocol undo-logs (a nondeterministic counter breaks shard
-equality).  The existing point rules (``wall-clock-in-kernel``,
-``direct-rng``) flag the *sources* where they appear in kernel files;
-this rule tracks the *values*: wall-clock reads, module-level RNG
-draws, and set-iteration loop variables are taint sources, and the
+equality).  The point rules (``wall-clock-in-kernel``, ``global-rng``,
+``unordered-iteration``) flag the *sources* where they appear; this
+rule tracks the *values*: wall-clock reads, module-level RNG draws, and
+set-iteration loop variables — recognized exactly as the point rules
+recognize them (:mod:`repro.lint.sources`) — are taint sources, and the
 taint is propagated through local assignments and helper-function
 returns (an interprocedural fixpoint over the flow project's call
 tables) to any of the three sinks.  The full source→sink chain is
@@ -20,18 +21,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..findings import Finding
+from ..sources import KERNEL_SCOPE
 from . import RULES, Rule
 
 #: files scanned for sinks: the kernel packages plus the two layers
 #: that build cache keys from run artifacts
-_SINK_SCOPE = (
-    "repro/core/",
-    "repro/oracle/",
-    "repro/pdes/",
-    "repro/topology/",
-    "repro/scenario/",
-    "repro/parallel/",
-)
+_SINK_SCOPE = KERNEL_SCOPE + ("repro/scenario/", "repro/parallel/")
 
 
 class DeterminismTaint(Rule):

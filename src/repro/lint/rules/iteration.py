@@ -10,6 +10,19 @@ insertion history.  Inside the kernel packages (``oracle``, ``core``,
 ``pdes``, ``topology``) a set may be *built* and membership-tested
 freely, but never iterated raw: wrap it in ``sorted(...)``.
 
+An iterable counts as a set when the function builds it (a literal, a
+``set()`` call, a ``.copy()`` or union of known sets) or when it comes
+from a set-returning helper::
+
+    def frontier(self):
+        return {c.dst for c in self.channels}
+    ...
+    for pe in self.frontier():   # hash order, invisible locally
+
+The flow project's return-set fixpoint decides the helper case: it
+marks every kernel function whose return value may be a set, directly
+or by returning another set-returning function's result.
+
 Order-insensitive consumers (``len``, ``min``, ``max``, ``any``,
 ``all``, ``sorted``, ``set``, ``frozenset``, ``bool``) are fine;
 ``sum`` is **not** exempt — float addition is order-sensitive.
@@ -18,78 +31,12 @@ Order-insensitive consumers (``len``, ``min``, ``max``, ``any``,
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable, Optional
 
 from ..findings import Finding
+from ..sources import KERNEL_SCOPE, SetTypes, order_sensitive, scope_nodes
 from . import RULES, Rule
-from ._ast_util import in_scope
-
-_SCOPE = ("repro/oracle/", "repro/core/", "repro/pdes/", "repro/topology/")
-
-#: calls whose result is statically a set
-_SET_CALLS = {"set", "frozenset"}
-#: set methods returning sets
-_SET_METHODS = {
-    "union",
-    "intersection",
-    "difference",
-    "symmetric_difference",
-    "copy",
-}
-#: order-sensitive reducers that consume an iterable argument whole
-_ORDER_SENSITIVE_CALLS = {"sum", "tuple", "list", "join", "fsum", "accumulate"}
-
-
-class _SetTypes:
-    """Track which local names are statically set-typed in one scope."""
-
-    def __init__(self, scope: ast.AST) -> None:
-        self.names: set[str] = set()
-        # Two passes so `a = {...}; b = a | other` resolves: first plain
-        # set constructions, then expressions over already-known names.
-        for _ in range(2):
-            for node in ast.walk(scope):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not scope:
-                    continue
-                target = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    target, value = node.target, node.value
-                else:
-                    continue
-                if isinstance(target, ast.Name):
-                    if self.is_set(value):
-                        self.names.add(target.id)
-                    elif target.id in self.names:
-                        # reassigned to something not set-typed: drop it
-                        self.names.discard(target.id)
-
-    def is_set(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return node.id in self.names
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in _SET_CALLS:
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-                return self.is_set(func.value)
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self.is_set(node.left) or self.is_set(node.right)
-        return False
-
-
-def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """The module plus every function — one name-tracking scope each."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+from ._ast_util import enclosing_class, in_scope
 
 
 class UnorderedIteration(Rule):
@@ -97,45 +44,47 @@ class UnorderedIteration(Rule):
     hint = "wrap the set in sorted(...) (or keep a sorted tuple alongside)"
 
     def check_file(self, ctx, index) -> Iterable[Finding]:
-        if not in_scope(ctx.rel, _SCOPE):
+        if not in_scope(ctx.rel, KERNEL_SCOPE):
             return []
+        from ..flow.taint import set_returning_call
+
         out: list[Finding] = []
-        seen: set[tuple[int, int]] = set()
 
-        def flag(node: ast.expr, what: str) -> None:
-            key = (node.lineno, node.col_offset)
-            if key not in seen:
-                seen.add(key)
-                out.append(self.finding(ctx, node.lineno, node.col_offset, what))
+        def check(types: SetTypes, node: ast.expr, verb: str) -> None:
+            what = types.describe(node)
+            if what is not None:
+                out.append(
+                    self.finding(
+                        ctx, node.lineno, node.col_offset, f"{verb} {what} in hash order"
+                    )
+                )
 
-        for scope in _scopes(ctx.tree):
-            types = _SetTypes(scope)
-            for node in ast.walk(scope):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not scope:
-                    continue
-                if isinstance(node, ast.For) and types.is_set(node.iter):
-                    flag(node.iter, "for-loop iterates a set in hash order")
+        def visit(scope: ast.AST, enclosing: Optional[SetTypes]) -> None:
+            cls = enclosing_class(scope)
+            owner = cls.name if cls is not None else None
+            types = SetTypes(
+                scope,
+                enclosing,
+                helper=lambda call: set_returning_call(index, ctx, owner, call),
+            )
+            for node in scope_nodes(scope):
+                if node is not scope and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    visit(node, types)
+                elif isinstance(node, ast.For):
+                    check(types, node.iter, "for-loop iterates")
                 elif isinstance(
                     node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
                 ):
                     for gen in node.generators:
-                        if types.is_set(gen.iter):
-                            flag(gen.iter, "comprehension iterates a set in hash order")
+                        check(types, gen.iter, "comprehension iterates")
                 elif isinstance(node, ast.Call):
-                    func = node.func
-                    name = (
-                        func.id
-                        if isinstance(func, ast.Name)
-                        else func.attr
-                        if isinstance(func, ast.Attribute)
-                        else None
-                    )
-                    if name in _ORDER_SENSITIVE_CALLS and node.args:
-                        if types.is_set(node.args[0]):
-                            flag(
-                                node.args[0],
-                                f"{name}() consumes a set in hash order",
-                            )
+                    name = order_sensitive(node)
+                    if name is not None:
+                        check(types, node.args[0], f"{name}() consumes")
+
+        visit(ctx.tree, None)
         return out
 
 
@@ -143,7 +92,8 @@ class UnorderedIteration(Rule):
     "unordered-iteration",
     metadata={
         "summary": "no raw set iteration in kernel event paths "
-        "(oracle/core/pdes/topology) — hash order can feed event keys",
+        "(oracle/core/pdes/topology), sets returned by helpers "
+        "included — hash order can feed event keys",
     },
 )
 def _build(rest: str = "") -> UnorderedIteration:

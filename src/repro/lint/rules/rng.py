@@ -11,8 +11,10 @@ splits the result cache and breaks the sharded-PDES equality.
 Allowed: constructing ``random.Random(seed)`` and
 ``numpy.random.default_rng(seed)`` / ``Generator`` / ``SeedSequence``
 with an explicit seed.  Flagged: every other ``random.*`` /
-``np.random.*`` call, unseeded ``default_rng()``, and importing the
-module-level helpers (``from random import choice``).
+``np.random.*`` reference, unseeded ``default_rng()``, and importing the
+module-level helpers (``from random import choice``).  Imports resolve
+the way :mod:`repro.lint.sources` resolves them for every rule, so
+``import random as rnd`` and ``import numpy.random as npr`` are seen.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
+from ..sources import Sources, is_module_rng
 from . import RULES, Rule
-from ._ast_util import import_aliases
-
-#: stdlib ``random`` attributes that are fine to touch
-_STDLIB_OK = {"Random"}
-#: ``numpy.random`` attributes that are fine when given an explicit seed
-_NUMPY_OK = {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox"}
 
 
 class GlobalRng(Rule):
@@ -38,69 +35,46 @@ class GlobalRng(Rule):
     )
 
     def check_file(self, ctx, index) -> Iterable[Finding]:
+        sources = Sources(ctx.tree)
         out: list[Finding] = []
-        random_names = import_aliases(ctx.tree, "random")
-        numpy_names = import_aliases(ctx.tree, "numpy")
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
+            if isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 for alias in node.names:
-                    if alias.name not in _STDLIB_OK:
+                    imported = f"{node.module}.{alias.name}"
+                    if is_module_rng(imported):
                         out.append(
                             self.finding(
                                 ctx,
                                 node.lineno,
                                 node.col_offset,
-                                f"importing random.{alias.name} binds the "
-                                f"process-global RNG stream",
+                                f"importing {imported} binds the process-global "
+                                f"RNG stream",
                             )
                         )
             elif isinstance(node, ast.Attribute):
-                value = node.value
-                # random.<fn> on the stdlib module
-                if isinstance(value, ast.Name) and value.id in random_names:
-                    if node.attr not in _STDLIB_OK:
-                        out.append(
-                            self.finding(
-                                ctx,
-                                node.lineno,
-                                node.col_offset,
-                                f"random.{node.attr} uses process-global RNG "
-                                f"state (unseeded, shared across the run)",
-                            )
-                        )
-                # np.random.<fn> on the numpy global-state API
-                elif (
-                    isinstance(value, ast.Attribute)
-                    and value.attr == "random"
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id in numpy_names
-                ):
-                    if node.attr not in _NUMPY_OK:
-                        out.append(
-                            self.finding(
-                                ctx,
-                                node.lineno,
-                                node.col_offset,
-                                f"numpy.random.{node.attr} mutates numpy's "
-                                f"process-global RNG state",
-                            )
-                        )
-            elif isinstance(node, ast.Call):
-                # default_rng() with no arguments seeds from the OS
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "default_rng"
-                    and not node.args
-                    and not node.keywords
-                ):
+                name = sources.rng_fn(node)
+                if name is not None:
                     out.append(
                         self.finding(
                             ctx,
                             node.lineno,
                             node.col_offset,
-                            "default_rng() without a seed draws OS entropy — "
-                            "results cannot replay from the scenario seed",
+                            f"{name} uses process-global RNG state "
+                            f"(unseeded, shared across the run)",
+                        )
+                    )
+            elif isinstance(node, ast.Call) and sources.rng_fn(node.func) is None:
+                # a draw that names no module-RNG function: default_rng()
+                # without a seed
+                name = sources.rng_draw(node)
+                if name is not None:
+                    out.append(
+                        self.finding(
+                            ctx,
+                            node.lineno,
+                            node.col_offset,
+                            f"{name}() without a seed draws OS entropy — "
+                            f"results cannot replay from the scenario seed",
                         )
                     )
         return out

@@ -27,39 +27,12 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
+from ..sources import SHARD_MODULE, read_logged_counters
 from . import RULES, Rule
 from ._ast_util import enclosing_class, in_scope
 
-_SHARD = "repro/pdes/shard.py"
 _STATS = "repro/oracle/stats.py"
 _SCOPE = ("repro/oracle/", "repro/core/", "repro/pdes/")
-
-
-def _string_set(value: ast.expr) -> set[str] | None:
-    """String constants inside ``frozenset({...})`` / ``{...}`` literals."""
-    if isinstance(value, ast.Call) and value.args:
-        return _string_set(value.args[0])
-    if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-        out: set[str] = set()
-        for elt in value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.add(elt.value)
-            else:
-                return None
-        return out
-    return None
-
-
-def _logged_counters(ctx) -> tuple[set[str], int] | None:
-    """``_LOGGED_COUNTERS`` contents + line, wherever it is assigned."""
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id == "_LOGGED_COUNTERS":
-                names = _string_set(node.value)
-                if names is not None:
-                    return names, node.lineno
-    return None
 
 
 def _collector_counters(ctx) -> dict[str, int]:
@@ -109,11 +82,11 @@ class UndoCoverage(Rule):
     )
 
     def check_project(self, index) -> Iterable[Finding]:
-        shard = index.find_file(_SHARD)
+        shard = index.find_file(SHARD_MODULE)
         stats = index.find_file(_STATS)
         if shard is None or stats is None:
             return []
-        logged_info = _logged_counters(shard)
+        logged_info = read_logged_counters(shard)
         if logged_info is None:
             return [
                 self.finding(

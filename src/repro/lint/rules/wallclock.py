@@ -6,6 +6,8 @@ calendar runs on ``engine.now``, never on the host's clock.  A
 cache key, or iteration bound makes runs irreproducible in the way the
 golden suites cannot catch (it still *completes*, just differently).
 
+Every spelling counts: ``from time import perf_counter`` and ``import
+time as t`` resolve to the same clock (see :mod:`repro.lint.sources`).
 The observability layers (``repro/obs``, ``benchmarks``, the CLI) are
 outside this rule's scope — measuring wall time is their job.  Inside
 the kernel packages, legitimate wall-clock reads (telemetry throughput
@@ -20,31 +22,11 @@ import ast
 from typing import Iterable
 
 from ..findings import Finding
+from ..sources import KERNEL_SCOPE, Sources
 from . import RULES, Rule
-from ._ast_util import call_name, import_aliases, in_scope
+from ._ast_util import in_scope
 
-_SCOPE = (
-    "repro/oracle/",
-    "repro/core/",
-    "repro/pdes/",
-    "repro/topology/",
-    "repro/workload/",
-    "repro/scenario/",
-    "repro/parallel/",
-)
-
-#: wall-clock reading functions on the ``time`` module
-_TIME_FNS = {
-    "time",
-    "time_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-}
-_DATETIME_FNS = {"now", "utcnow", "today"}
+_SCOPE = KERNEL_SCOPE + ("repro/workload/", "repro/scenario/", "repro/parallel/")
 
 
 class WallClockInKernel(Rule):
@@ -57,27 +39,13 @@ class WallClockInKernel(Rule):
     def check_file(self, ctx, index) -> Iterable[Finding]:
         if not in_scope(ctx.rel, _SCOPE):
             return []
+        sources = Sources(ctx.tree)
         out: list[Finding] = []
-        time_names = import_aliases(ctx.tree, "time")
-        from_time: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in _TIME_FNS:
-                        from_time.add(alias.asname or alias.name)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = call_name(node)
-            if name is None:
-                continue
-            head, _, tail = name.partition(".")
-            flagged = (
-                (head in time_names and tail in _TIME_FNS)
-                or (not tail and head in from_time)
-                or (tail.split(".")[-1] in _DATETIME_FNS and "datetime" in name)
-            )
-            if flagged:
+            name = sources.clock(node)
+            if name is not None:
                 out.append(
                     self.finding(
                         ctx,

@@ -90,7 +90,9 @@ def run_batch(
     cache:
         Result store; ``None`` disables persistence entirely.  Freshly
         simulated results are written back before the call returns, so
-        a rerun of the same batch performs zero new simulations.
+        a rerun of the same batch performs zero new simulations.  A
+        write that fails with ``OSError`` is reported as a
+        ``cache.error`` telemetry event; the result is still returned.
     use_cache:
         When false, the cache is neither read nor written (a forced
         recomputation that leaves existing entries untouched).
@@ -155,7 +157,14 @@ def run_batch(
 
         def persist(local_index: int, res: SimResult) -> None:
             if reading:
-                cache.put(specs[batch[local_index]], res)
+                spec = specs[batch[local_index]]
+                # A failed write (full disk, read-only cache) costs only
+                # a later warm hit: the result stands and the batch goes on.
+                try:
+                    cache.put(spec, res)
+                except OSError as exc:
+                    if tele is not None:
+                        tele.emit("cache.error", key=spec.content_hash()[:12], error=str(exc))
 
         if attempt == 0:
             outcome = run_many(

@@ -127,38 +127,22 @@ def _check(
     return lookahead
 
 
-def check_shardable(
-    scenario: Scenario, shards: int, *, verify: bool = False
-) -> tuple[Partition, float]:
+def check_shardable(scenario: Scenario, shards: int) -> tuple[Partition, float]:
     """Validate ``scenario`` for ``shards``-way execution.
 
     Returns the :class:`Partition` and the lookahead on success; raises
     :class:`NotShardable` (with the reason) otherwise.  ``Partition``
     itself raises ``ValueError`` for impossible shard counts.
 
-    With ``verify=True`` the declared ``shardable`` flag is additionally
-    cross-checked against the static effect inference
-    (:func:`repro.lint.flow.verify_strategy`): a strategy *declared*
-    shardable whose hooks the analysis can prove non-shard-local is
-    rejected before any worker forks — a contract breach here means a
-    sharded run would silently diverge from the sequential oracle.
+    The strategy's declared ``shardable`` flag is trusted here: the
+    ``shardable-contract`` rule of ``repro lint`` proves it against the
+    strategy's inferred hook effects on every commit.
     """
     topology = scenario.resolve_topology()
     partition = Partition(topology, shards)
     strategy = scenario.resolve_strategy(family=topology.family)
     config = scenario.effective_config
     lookahead = _check(topology, strategy, config, partition)
-    if verify:
-        from ..lint.flow import verify_strategy
-
-        report = verify_strategy(type(strategy).__name__)
-        if report is not None and report.contract_breach:
-            detail = "; ".join(v.describe() for v in report.violations[:3])
-            raise NotShardable(
-                f"strategy {strategy.name!r} declares shardable = True but "
-                f"effect inference found non-shard-local hooks: {detail} "
-                f"(run `repro lint --explain` for the propagation paths)"
-            )
     return partition, lookahead
 
 

@@ -78,6 +78,16 @@ class TestRunCommand:
         assert main(["run", "fib:8 @ grid:4x4 / cwn?seed=2"]) == 0
         assert "[farm] 1 cache hits, 0 simulated" in capsys.readouterr().err
 
+    def test_unwritable_cache_dir_still_prints_the_run(self, capsys, tmp_path, monkeypatch):
+        spec = "fib:5 @ grid:2x2 / cwn"
+        assert main(["run", spec, "--no-cache"]) == 0
+        expected = capsys.readouterr().out
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        assert main(["run", spec]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_run_two_positionals_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "fib:9", "grid:4x4"])

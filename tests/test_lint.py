@@ -10,6 +10,7 @@ clean under the committed baseline.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,70 @@ class TestUnorderedIteration:
             ),
             # outside the kernel scope, raw iteration is allowed
             "repro/obs/x.py": "s = {1, 2}\nfor v in s:\n    pass\n",
+        })
+        assert rules_hit(tmp_path, "unordered-iteration") == []
+
+    def test_helper_return_iterated_raw(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/topology/x.py": (
+                "def frontier():\n"
+                "    return {3, 1, 2}\n"
+                "def walk():\n"
+                "    total = 0\n"
+                "    for pe in frontier():\n"
+                "        total += pe\n"
+                "    return total\n"
+            ),
+        })
+        findings = rules_hit(tmp_path, "unordered-iteration")
+        assert [f.rule for f in findings] == ["unordered-iteration"]
+        # no local construction to anchor on: the return-set fixpoint
+        # sees the set cross the call
+        assert "set-returning helper frontier()" in findings[0].message
+
+    def test_aliased_helper_result(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/topology/x.py": (
+                "def frontier():\n"
+                "    return {3, 1, 2}\n"
+                "def walk():\n"
+                "    f = frontier()\n"
+                "    return [pe for pe in f]\n"
+            ),
+        })
+        assert rules_hit(tmp_path, "unordered-iteration")
+
+    def test_method_helper_via_mro(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/topology/x.py": (
+                "class Base:\n"
+                "    def frontier(self):\n"
+                "        return {c for c in self.channels}\n"
+                "class Ring(Base):\n"
+                "    def walk(self):\n"
+                "        return sum(self.frontier())\n"
+            ),
+        })
+        findings = rules_hit(tmp_path, "unordered-iteration")
+        assert findings and "sum" in findings[0].message
+
+    def test_clean_sorted_consumption(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/topology/x.py": (
+                "def frontier():\n"
+                "    return {3, 1, 2}\n"
+                "def walk():\n"
+                "    return [pe for pe in sorted(frontier())]\n"
+                "def count():\n"
+                "    return len(frontier())\n"
+            ),
+            # outside the kernel scope, raw iteration is allowed
+            "repro/obs/x.py": (
+                "def frontier():\n"
+                "    return {1, 2}\n"
+                "for v in frontier():\n"
+                "    pass\n"
+            ),
         })
         assert rules_hit(tmp_path, "unordered-iteration") == []
 
@@ -545,18 +610,25 @@ class TestCli:
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
-        expected = {
+    def test_rule_set_is_exact(self):
+        assert set(RULES.names()) == {
             "cache-key-drift",
+            "determinism-taint",
             "fork-unsafe-state",
             "global-rng",
             "registry-contract",
+            "shardable-contract",
             "telemetry-guard",
             "undo-coverage",
             "unordered-iteration",
             "wall-clock-in-kernel",
         }
-        assert expected <= set(RULES.names())
+
+    def test_docs_rule_table_names_every_rule(self):
+        table = re.findall(
+            r"^\| `([a-z-]+)` \|", (REPO_ROOT / "docs" / "lint.md").read_text(), re.M
+        )
+        assert sorted(table) == sorted(RULES.names())
 
     def test_every_rule_has_a_summary(self):
         for name in RULES.names():

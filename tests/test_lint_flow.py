@@ -7,12 +7,11 @@ Three layers:
   and the inferred shardability verdict and belief reads must agree
   with the declared ``shardable`` and ``reads_beliefs`` flags for all
   fifteen strategies (the declared flags are *proved*, not reviewed);
-* **fixture tests** for the three flow rules (``shardable-contract``,
-  ``determinism-taint``, ``helper-set-iteration``) — one minimal tree
-  that triggers each, one that is clean;
+* **fixture tests** for the two flow rules (``shardable-contract``,
+  ``determinism-taint``) — minimal trees that trigger each, whatever
+  the spelling of the source, and trees that are clean;
 * the **CLI surface** — ``--explain`` traces, ``--format github``
-  annotations, ``--prune-baseline`` round trip, and the coordinator's
-  ``check_shardable(..., verify=True)`` cross-check.
+  annotations, and the ``--prune-baseline`` round trip.
 
 Regenerate the golden file after an intentional kernel change with::
 
@@ -30,13 +29,7 @@ from repro.cli import main
 from repro.lint import Finding, run_lint
 from repro.lint.context import FileContext, ProjectIndex
 from repro.lint.engine import collect_files, default_root
-from repro.lint.flow import (
-    ACTING,
-    GLOBAL,
-    OTHER,
-    strategy_reports,
-    verify_strategy,
-)
+from repro.lint.flow import ACTING, GLOBAL, OTHER, strategy_reports
 
 GOLDEN = Path(__file__).parent / "golden" / "strategy_effects.json"
 
@@ -138,11 +131,6 @@ class TestGoldenEffects:
         kinds = {v.effect.kind for v in central.violations}
         assert "schedule" in kinds or "read" in kinds
 
-    def test_verify_strategy_lookup(self, installed_reports):
-        report = verify_strategy("CWN")
-        assert report is not None and report.name == "cwn"
-        assert verify_strategy("NoSuchClass") is None
-
 
 # -- shardable-contract ----------------------------------------------------------
 
@@ -224,6 +212,52 @@ class TestShardableContract:
         })
         assert rules_hit(tmp_path, "shardable-contract") == []
 
+    @pytest.mark.parametrize(
+        "imports, body, effect",
+        [
+            ("from time import perf_counter\n", "perf_counter()",
+             "clock time.perf_counter"),
+            ("import random as rnd\n", "rnd.random()",
+             "rng random.random[global]"),
+            ("", "seen = {pe, pe + 1}\n"
+             "        for x in seen.copy():\n"
+             "            pass", "set-iter set iteration"),
+        ],
+        ids=["from-imported-clock", "aliased-module-rng", "set-copy-iteration"],
+    )
+    def test_breach_in_any_spelling_is_flagged(self, tmp_path, imports, body, effect):
+        """A source the point rules flag is a breach however it is spelled."""
+        write_tree(tmp_path, {
+            "repro/core/strats.py": imports + _STRATEGY_PRELUDE + (
+                "class Hidden(Strategy):\n"
+                "    name = 'hidden'\n"
+                "    shardable = True\n"
+                "    def on_idle(self, pe):\n"
+                f"        {body}\n"
+                "STRATEGIES.register('hidden', cls=Hidden)\n"
+            ),
+        })
+        findings = rules_hit(tmp_path, "shardable-contract")
+        assert [f.rule for f in findings] == ["shardable-contract"]
+        assert "declares shardable = True" in findings[0].message
+        assert effect in findings[0].message
+
+    def test_seeded_local_rng_is_clean(self, tmp_path):
+        """``random.Random(seed)`` is not a draw, as ``global-rng`` agrees."""
+        write_tree(tmp_path, {
+            "repro/core/strats.py": "import random\n" + _STRATEGY_PRELUDE + (
+                "class Seeded(Strategy):\n"
+                "    name = 'seeded'\n"
+                "    shardable = True\n"
+                "    def on_goal_created(self, pe, goal):\n"
+                "        rng = random.Random(7)\n"
+                "        if self.machine.load_of(pe) > rng.randint(0, 2):\n"
+                "            self.machine.send_goal(pe, goal)\n"
+                "STRATEGIES.register('seeded', cls=Seeded)\n"
+            ),
+        })
+        assert rules_hit(tmp_path, "shardable-contract", "global-rng") == []
+
 
 # -- determinism-taint -----------------------------------------------------------
 
@@ -271,6 +305,27 @@ class TestDeterminismTaint:
         findings = rules_hit(tmp_path, "determinism-taint")
         assert findings and "iteration" in findings[0].message.lower()
 
+    @pytest.mark.parametrize(
+        "imports, read",
+        [
+            ("from time import perf_counter\n", "perf_counter()"),
+            ("import time as t\n", "t.perf_counter()"),
+        ],
+        ids=["from-imported", "aliased"],
+    )
+    def test_clock_in_any_spelling_into_simresult(self, tmp_path, imports, read):
+        write_tree(tmp_path, {
+            "repro/oracle/x.py": imports + (
+                "def collect():\n"
+                f"    t0 = {read}\n"
+                "    return SimResult(completion_time=t0)\n"
+            ),
+        })
+        findings = rules_hit(tmp_path, "determinism-taint")
+        assert [f.rule for f in findings] == ["determinism-taint"]
+        assert "completion_time" in findings[0].message
+        assert "time.perf_counter" in findings[0].message
+
     def test_clean_seed_derived_result(self, tmp_path):
         write_tree(tmp_path, {
             "repro/oracle/x.py": (
@@ -279,75 +334,6 @@ class TestDeterminismTaint:
             ),
         })
         assert rules_hit(tmp_path, "determinism-taint") == []
-
-
-# -- helper-set-iteration --------------------------------------------------------
-
-
-class TestHelperSetIteration:
-    def test_helper_return_iterated_raw(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/topology/x.py": (
-                "def frontier():\n"
-                "    return {3, 1, 2}\n"
-                "def walk():\n"
-                "    total = 0\n"
-                "    for pe in frontier():\n"
-                "        total += pe\n"
-                "    return total\n"
-            ),
-        })
-        findings = rules_hit(tmp_path, "helper-set-iteration")
-        assert [f.rule for f in findings] == ["helper-set-iteration"]
-        assert "frontier" in findings[0].message
-        # the local rule misses this — exactly the closed blind spot
-        assert rules_hit(tmp_path, "unordered-iteration") == []
-
-    def test_aliased_helper_result(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/topology/x.py": (
-                "def frontier():\n"
-                "    return {3, 1, 2}\n"
-                "def walk():\n"
-                "    f = frontier()\n"
-                "    return [pe for pe in f]\n"
-            ),
-        })
-        assert rules_hit(tmp_path, "helper-set-iteration")
-
-    def test_method_helper_via_mro(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/topology/x.py": (
-                "class Base:\n"
-                "    def frontier(self):\n"
-                "        return {c for c in self.channels}\n"
-                "class Ring(Base):\n"
-                "    def walk(self):\n"
-                "        return sum(self.frontier())\n"
-            ),
-        })
-        findings = rules_hit(tmp_path, "helper-set-iteration")
-        assert findings and "sum" in findings[0].message
-
-    def test_clean_sorted_consumption(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/topology/x.py": (
-                "def frontier():\n"
-                "    return {3, 1, 2}\n"
-                "def walk():\n"
-                "    return [pe for pe in sorted(frontier())]\n"
-                "def count():\n"
-                "    return len(frontier())\n"
-            ),
-            # outside the kernel scope, raw iteration is allowed
-            "repro/obs/x.py": (
-                "def frontier():\n"
-                "    return {1, 2}\n"
-                "for v in frontier():\n"
-                "    pass\n"
-            ),
-        })
-        assert rules_hit(tmp_path, "helper-set-iteration") == []
 
 
 # -- localities (unit) -----------------------------------------------------------
@@ -441,39 +427,3 @@ class TestCliSurface:
         assert main([
             "lint", str(tmp_path), "--no-baseline", "--prune-baseline",
         ]) == 2
-
-
-# -- coordinator cross-check -----------------------------------------------------
-
-
-class TestCoordinatorVerify:
-    def test_verify_accepts_proved_strategy(self):
-        from repro.pdes import check_shardable
-        from repro.scenario import Scenario
-
-        scenario = Scenario.from_spec("divide:24 @ ring:16 / cwn?seed=3")
-        partition, lookahead = check_shardable(scenario, 2, verify=True)
-        assert lookahead > 0
-
-    def test_verify_rejects_fabricated_breach(self, monkeypatch):
-        from repro.lint.flow.model import Effect
-        from repro.lint.flow.strategies import StrategyReport, Violation
-        import repro.pdes.coordinator as coordinator
-        from repro.pdes import NotShardable, check_shardable
-        from repro.scenario import Scenario
-        import repro.lint.flow as flow
-
-        breach = StrategyReport(
-            name="cwn", cls="CWN", rel="repro/core/cwn.py", line=1,
-            declared=True,
-            violations=[Violation(
-                entry="on_idle",
-                effect=Effect("read", "machine.load_of", OTHER),
-                reason="reads another PE's load",
-                trace=(),
-            )],
-        )
-        monkeypatch.setattr(flow, "verify_strategy", lambda cls: breach)
-        scenario = Scenario.from_spec("divide:24 @ ring:16 / cwn?seed=3")
-        with pytest.raises(NotShardable, match="effect inference"):
-            check_shardable(scenario, 2, verify=True)

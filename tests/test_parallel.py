@@ -383,6 +383,26 @@ class TestRunBatch:
         assert "no-such-strategy" in report.failures[0].error
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cache_write_keeps_the_result(self, tmp_path, jobs):
+        import errno
+
+        from repro.obs import telemetry
+
+        class FullDisk(ResultCache):
+            def put(self, scenario, result):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        stream = tmp_path / "stream.jsonl"
+        with telemetry.capture(stream):
+            report = run_batch(SPECS, jobs=jobs, cache=FullDisk(tmp_path / "cache"))
+        assert report.simulated == len(SPECS)
+        for got, spec in zip(report.results, SPECS):
+            assert_results_equal(got, spec.run())
+        errors = [e for e in telemetry.read_events(stream) if e["ev"] == "cache.error"]
+        assert sorted(e["key"] for e in errors) == sorted(s.content_hash()[:12] for s in SPECS)
+        assert all("No space left" in e["error"] for e in errors)
+
     def test_unspellable_runs_run_locally_after_the_farm(self, tmp_path):
         from repro.core import CWN
         from repro.obs import telemetry
