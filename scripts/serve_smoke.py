@@ -50,7 +50,7 @@ def main() -> None:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "--window", "0.02",
+            "--port", "0", "--workers", "2",
         ],
         stderr=subprocess.PIPE,
         text=True,

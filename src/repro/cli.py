@@ -283,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Serve scenario specs over HTTP (POST /run, GET "
         "/healthz, GET /stats) or stdin lines.  Identical concurrent "
         "requests coalesce onto one computation, warm results come from "
-        "the shared on-disk cache, and genuine misses batch before "
-        "dispatching to a persistent worker fleet.  SIGTERM drains "
+        "the shared on-disk cache, and each genuine miss is dispatched "
+        "to a persistent worker fleet as it arrives.  SIGTERM drains "
         "gracefully.  --replay races a recorded request stream through "
         "several dispatch policies and reports latency percentiles and "
         "throughput per policy instead of serving.",
@@ -307,16 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="central",
         help="dispatch policy: central, random, roundrobin, cwn, gm "
         "(adapters of the paper's strategies; default central)",
-    )
-    serve.add_argument(
-        "--window",
-        type=float,
-        default=0.01,
-        metavar="SECONDS",
-        help="batch admission window (default 0.01)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=16, metavar="N", help="batch size cap"
     )
     serve.add_argument(
         "--high-water",
@@ -893,8 +883,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.replay,
                 policies=policies,
                 workers=args.workers,
-                window=args.window,
-                max_batch=args.max_batch,
                 seed=args.seed,
                 speed=args.speed,
                 use_cache=not args.no_cache,
@@ -915,8 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     knobs = dict(
         workers=args.workers,
         policy=args.policy,
-        window=args.window,
-        max_batch=args.max_batch,
         high_water=args.high_water,
         queue_depth=args.queue_depth,
         no_cache=args.no_cache,

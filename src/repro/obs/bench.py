@@ -233,12 +233,12 @@ def bench_serve(quick: bool = False) -> dict[str, Metric]:
     """The scenario service end to end (requests/s and replay latency).
 
     One persistent 2-worker fleet serves two passes of the same distinct
-    specs: the cold pass measures batched dispatch through the fleet,
-    the warm pass must answer every request from the shared cache
-    (asserted — a warm pass that simulates is a dedup regression, not a
-    slow bench).  The replay metrics run the fixed mixed stream through
-    the ``central`` policy and report wall-clock p50/p99, gating the
-    per-request overhead (parse, hash, batch window, queue hops).
+    specs: the cold pass measures dispatch through the fleet, the warm
+    pass must answer every request from the shared cache (asserted — a
+    warm pass that simulates is a dedup regression, not a slow bench).
+    The replay metrics run the fixed mixed stream through the
+    ``central`` policy and report wall-clock p50/p99, gating the
+    per-request overhead (parse, hash, dispatch, queue hops).
     """
     import asyncio
 
@@ -251,9 +251,7 @@ def bench_serve(quick: bool = False) -> dict[str, Metric]:
 
     async def drive(cache: ResultCache) -> tuple[float, float]:
         fleet = WorkerFleet(workers=2)
-        service = ScenarioService(
-            fleet, make_policy("central", 2), cache=cache, window=0.005, max_batch=8
-        )
+        service = ScenarioService(fleet, make_policy("central", 2), cache=cache)
         await service.start()
         start = time.perf_counter()
         await asyncio.gather(*(service.submit(s) for s in specs))
@@ -278,7 +276,7 @@ def bench_serve(quick: bool = False) -> dict[str, Metric]:
         ReplayRequest(f"fib:9 @ grid:2x2 / cwn?seed={seed}")
         for seed in (1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4)
     ]
-    replay = run_replay(stream, policies=("central",), workers=2, window=0.005)[0]
+    replay = run_replay(stream, policies=("central",), workers=2)[0]
     return {
         "serve_cold_requests_per_s": Metric(n_specs / cold_s, "requests/s"),
         "serve_warm_dedup_requests_per_s": Metric(n_specs / warm_s, "requests/s"),

@@ -63,8 +63,6 @@ class WatchState:
         self.serve_cache_hits = 0
         self.serve_coalesced = 0
         self.serve_misses = 0
-        self.serve_batches = 0
-        self.serve_largest_batch = 0
         self.serve_dispatched = 0
         self.serve_completed = 0
         self.serve_errors = 0
@@ -130,11 +128,6 @@ class WatchState:
         elif kind == "serve.coalesce":
             self.serve_requests += 1
             self.serve_coalesced += 1
-        elif kind == "serve.batch":
-            self.serve_batches += 1
-            self.serve_largest_batch = max(
-                self.serve_largest_batch, int(event.get("size", 0))
-            )
         elif kind == "serve.dispatch":
             self.serve_dispatched += 1
             outstanding = event.get("outstanding")
@@ -265,9 +258,7 @@ class WatchState:
                     else "?"
                 )
                 lines.append(
-                    f"  fleet    : {self.serve_dispatched} dispatched in "
-                    f"{self.serve_batches} batch(es) "
-                    f"(largest {self.serve_largest_batch}) · "
+                    f"  fleet    : {self.serve_dispatched} dispatched · "
                     f"{self.serve_completed} done · "
                     f"mean {mean_ms:.0f} ms · outstanding [{outstanding}]"
                 )

@@ -228,7 +228,10 @@ class ResultCache:
 
         Any defect in the stored entry — unparsable JSON, wrong schema,
         key mismatch, missing fields — deletes the entry and reports a
-        miss; the cache never propagates corruption.
+        miss; the cache never propagates corruption.  A read that fails
+        for any other reason (an unusable cache root, an unreadable
+        entry) is a plain miss with a ``cache.error`` event: nothing is
+        known to be corrupt, so nothing is deleted.
         """
         path = self.path_for(scenario)
         key = path.stem
@@ -251,10 +254,12 @@ class ResultCache:
             if payload["key"] != key:
                 raise ValueError("stored key does not match its address")
             result = result_from_dict(payload["result"])
-        except FileNotFoundError:
+        except OSError as exc:
             self.misses += 1
             if tele is not None:
-                tele.emit("cache.miss", key=path.stem[:12])
+                tele.emit("cache.miss", key=key[:12])
+                if not isinstance(exc, FileNotFoundError):
+                    tele.emit("cache.error", key=key[:12], error=str(exc))
             return None
         except Exception:
             # Corrupt entry: recover by dropping it (best-effort — on a

@@ -192,12 +192,12 @@ class Scenario:
         topology raise :class:`ValueError` here, before any run starts.
         """
         from ..core import canonical_spec as canonical_strategy
-        from ..topology import canonical_spec as canonical_topology, make as make_topology
+        from ..topology import make as make_topology, spec_of as topology_spec
         from ..workload import canonical_spec as canonical_workload
 
         spelled = self.spelled()
-        topology = canonical_topology(spelled.topology)
-        built = make_topology(topology)
+        built = make_topology(spelled.topology)
+        topology = topology_spec(built)
         if not 0 <= self.start_pe < built.n:
             raise ValueError(f"start_pe {self.start_pe} outside 0..{built.n - 1}")
         self.arrivals.check_pes(built.n)

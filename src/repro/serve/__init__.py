@@ -1,11 +1,10 @@
 """``repro.serve`` — the long-lived scenario service (PR 10 tentpole).
 
-A warm, batching, deduplicating front end over the Scenario narrow
-waist: requests arrive over HTTP or stdin as spec-grammar strings, are
-content-hashed, deduplicated three ways (warm cache, in-flight
-coalescing, batch admission), and dispatched to a persistent worker
-fleet by a pluggable policy adapted from the paper's load-balancing
-strategies.
+A warm, deduplicating front end over the Scenario narrow waist:
+requests arrive over HTTP or stdin as spec-grammar strings, are
+content-hashed, deduplicated (in-flight coalescing, warm cache), and
+each miss is dispatched on admission to a persistent worker fleet by a
+pluggable policy adapted from the paper's load-balancing strategies.
 """
 
 from ..parallel.pool import WorkerFleet

@@ -9,11 +9,10 @@ serves real traffic fastest.
 
 Stream format (one request per line): a bare scenario spec, or a JSON
 object ``{"spec": "...", "at": <seconds>}`` whose optional ``at``
-offset replays the recorded arrival pacing (bare lines arrive as fast
-as the admission queue accepts).  ``#`` lines are comments.  Every
-policy replays the identical stream against its own fresh cache
-directory, so no policy inherits another's warm entries and the
-comparison is fair.
+offset replays the recorded arrival pacing (bare lines all arrive at
+once).  ``#`` lines are comments.  Every policy replays the identical
+stream against its own fresh cache directory, so no policy inherits
+another's warm entries and the comparison is fair.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class ReplayStats:
     cache_hits: int
     coalesced: int
     computed: int
-    batches: int
 
     @property
     def requests_per_s(self) -> float:
@@ -100,8 +98,6 @@ async def _replay_policy(
     requests: Sequence[ReplayRequest],
     policy_name: str,
     workers: int,
-    window: float,
-    max_batch: int,
     cache_root: str | Path | None,
     seed: int,
     speed: float,
@@ -111,8 +107,6 @@ async def _replay_policy(
         fleet,
         make_policy(policy_name, workers, seed=seed),
         cache=None if cache_root is None else ResultCache(cache_root),
-        window=window,
-        max_batch=max_batch,
         # Replay measures dispatch quality, not admission control: the
         # whole stream must be admitted, never 429'd.
         high_water=max(256, len(requests) + 1),
@@ -150,7 +144,6 @@ async def _replay_policy(
         cache_hits=stats.cache_hits,
         coalesced=stats.coalesced,
         computed=stats.computed,
-        batches=stats.batches,
     )
 
 
@@ -158,8 +151,6 @@ def run_replay(
     stream: str | Path | Sequence[ReplayRequest],
     policies: Sequence[str] = POLICY_NAMES,
     workers: int = 2,
-    window: float = 0.01,
-    max_batch: int = 16,
     seed: int = 1,
     speed: float = 0.0,
     use_cache: bool = True,
@@ -167,10 +158,10 @@ def run_replay(
     """Drive the stream through each policy; one scorecard per policy.
 
     ``speed`` > 0 honors recorded ``at`` offsets scaled by that factor
-    (2.0 = twice as fast as recorded); 0 replays as fast as admission
-    allows.  With ``use_cache`` each policy gets its own *fresh*
-    temporary cache directory — warm hits then measure the stream's
-    internal redundancy, not leftover state.
+    (2.0 = twice as fast as recorded); 0 submits the whole stream at
+    once.  With ``use_cache`` each policy gets its own *fresh* temporary
+    cache directory — warm hits then measure the stream's internal
+    redundancy, not leftover state.
     """
     if isinstance(stream, (str, Path)):
         requests: Sequence[ReplayRequest] = load_stream(stream)
@@ -183,15 +174,11 @@ def run_replay(
         if use_cache:
             with tempfile.TemporaryDirectory(prefix="repro-serve-replay-") as root:
                 stats = asyncio.run(
-                    _replay_policy(
-                        requests, name, workers, window, max_batch, root, seed, speed
-                    )
+                    _replay_policy(requests, name, workers, root, seed, speed)
                 )
         else:
             stats = asyncio.run(
-                _replay_policy(
-                    requests, name, workers, window, max_batch, None, seed, speed
-                )
+                _replay_policy(requests, name, workers, None, seed, speed)
             )
         out.append(stats)
     return out

@@ -9,7 +9,7 @@ no new dependencies) and an optional stdin line protocol.  Endpoints:
   400 on a malformed spec, 429 past the backpressure high-water mark,
   500 when the scenario fails in a worker;
 * ``GET /healthz`` — liveness (``{"ok": true, ...}``);
-* ``GET /stats`` — the live dedup/batch/dispatch counters.
+* ``GET /stats`` — the live dedup/dispatch counters.
 
 Shutdown is graceful by contract: SIGTERM (or SIGINT) stops accepting,
 drains every in-flight computation, stops the fleet, and only then
@@ -179,8 +179,6 @@ def build_server(
     port: int = 8023,
     workers: int = 2,
     policy: str = "central",
-    window: float = 0.01,
-    max_batch: int = 16,
     high_water: int = 256,
     queue_depth: int = 64,
     no_cache: bool = False,
@@ -192,8 +190,6 @@ def build_server(
         fleet,
         make_policy(policy, workers, seed=seed),
         cache=None if no_cache else ResultCache(),
-        window=window,
-        max_batch=max_batch,
         high_water=high_water,
     )
     return ServeServer(service, host=host, port=port)
@@ -315,8 +311,8 @@ def serve_stdin(
     """The ``repro serve --stdin`` body: specs in, JSONL responses out.
 
     Requests on consecutive lines are submitted concurrently (so
-    duplicates coalesce and batches fill), but each response is printed
-    as one whole line the moment it resolves.
+    duplicates coalesce and each miss is dispatched as it is read), but
+    each response is printed as one whole line the moment it resolves.
     """
     knobs.pop("host", None)
     knobs.pop("port", None)

@@ -11,25 +11,27 @@ increasing cost:
 2. **warm cache hit** — the shared content-addressed
    :class:`~repro.parallel.cache.ResultCache` answers without touching
    the fleet;
-3. **batch admission** — genuine misses accumulate for a configurable
-   window (or until the batch size cap), then dispatch as one batch to
-   the persistent worker fleet, each placement chosen by the pluggable
-   :class:`~repro.serve.policy.ServePolicy`.
+3. **dispatch on admission** — a genuine miss goes to the persistent
+   worker fleet the moment it is admitted, before :meth:`submit` first
+   yields, on the worker the pluggable
+   :class:`~repro.serve.policy.ServePolicy` picks.  Like CWN placing a
+   goal as soon as it is created, a miss never waits for company: every
+   placement is one decision per miss, so waiting would buy nothing.
 
 Backpressure is explicit: past ``high_water`` admitted-but-unfinished
 computations the service answers *busy* (HTTP 429) instead of queueing
 unboundedly, and each fleet worker's task queue is itself bounded.
 
-Everything emits ``serve.*`` telemetry (request, coalesce, batch,
-dispatch, complete, busy, cache_error) under the repo's sink-guard
-convention, so ``repro watch`` renders a live serve panel for free.
+Everything emits ``serve.*`` telemetry (request, coalesce, dispatch,
+complete, busy, cache_error) under the repo's sink-guard convention,
+so ``repro watch`` renders a live serve panel for free.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..obs import telemetry as _telemetry
@@ -57,24 +59,17 @@ class ServeStats:
     cache_hits: int = 0
     coalesced: int = 0
     computed: int = 0
-    batches: int = 0
     dispatched: int = 0
     rejected: int = 0
     errors: int = 0
-    largest_batch: int = 0
+
+    @property
+    def batches(self) -> int:
+        """``dispatched`` under its old name, kept for perfbench only."""
+        return self.dispatched
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "computed": self.computed,
-            "batches": self.batches,
-            "dispatched": self.dispatched,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "largest_batch": self.largest_batch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -93,48 +88,47 @@ class _Entry:
     """One admitted computation (unique content hash)."""
 
     key: str
-    spec_text: str
     scenario: Scenario
     future: "asyncio.Future[dict[str, Any]]"
     admitted: float = field(default_factory=time.perf_counter)
 
 
 class ScenarioService:
-    """Batching, deduplicating, policy-dispatched scenario execution."""
+    """Deduplicating, policy-dispatched scenario execution.
+
+    ``window`` and ``max_batch`` are accepted and ignored: they sized the
+    batch window this service no longer has.  Only ``perfbench/`` still
+    passes them, and they go when the ``RunSpec`` alias, kept for the
+    same reason, does.
+    """
 
     def __init__(
         self,
         fleet: WorkerFleet,
         policy: ServePolicy,
         cache: ResultCache | None = None,
-        window: float = 0.01,
-        max_batch: int = 16,
         high_water: int = 256,
+        *,
+        window: float | None = None,
+        max_batch: int | None = None,
     ) -> None:
-        if window < 0:
-            raise ValueError(f"window must be >= 0 seconds (got {window})")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1 (got {max_batch})")
         if high_water < 1:
             raise ValueError(f"high_water must be >= 1 (got {high_water})")
         self.fleet = fleet
         self.policy = policy
         self.cache = cache
-        self.window = window
-        self.max_batch = max_batch
         self.high_water = high_water
         self.stats = ServeStats()
         self._inflight: dict[str, _Entry] = {}
         self._by_task: dict[int, _Entry] = {}
-        self._admission: "asyncio.Queue[str]" = asyncio.Queue()
         self._next_task_id = 0
         self._accepting = False
-        self._loops: list["asyncio.Task[None]"] = []
+        self._pump: "asyncio.Task[None] | None" = None
 
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the fleet (once) and the batch/pump loops."""
+        """Spawn the fleet (once) and the completion pump."""
         if self._accepting:
             return
         loop = asyncio.get_running_loop()
@@ -147,10 +141,7 @@ class ScenarioService:
             tele.emit(
                 "serve.start", workers=self.fleet.workers, policy=self.policy.name
             )
-        self._loops = [
-            asyncio.ensure_future(self._batch_loop()),
-            asyncio.ensure_future(self._pump_loop()),
-        ]
+        self._pump = asyncio.ensure_future(self._pump_loop())
 
     async def drain(self, timeout: float | None = None) -> bool:
         """Wait for every admitted computation to finish; True when empty."""
@@ -163,14 +154,13 @@ class ScenarioService:
         """Graceful shutdown: refuse new work, drain, stop the fleet."""
         self._accepting = False
         await self.drain(timeout=drain_timeout)
-        for task in self._loops:
-            task.cancel()
-        for task in self._loops:
+        if self._pump is not None:
+            self._pump.cancel()
             try:
-                await task
+                await self._pump
             except (asyncio.CancelledError, Exception):
                 pass
-        self._loops = []
+            self._pump = None
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.fleet.stop)
 
@@ -232,45 +222,14 @@ class ScenarioService:
         if tele is not None:
             tele.emit("serve.request", key=key[:12], source="miss")
         loop = asyncio.get_running_loop()
-        entry = _Entry(key, spec_text, scenario, loop.create_future())
+        entry = _Entry(key, scenario, loop.create_future())
         self._inflight[key] = entry
-        self._admission.put_nowait(key)
+        self._dispatch_one(entry, tele)
         result = await asyncio.shield(entry.future)
         self.stats.computed += 1
         return Submitted(spec_text, key, "computed", result, _ms_since(start))
 
-    # -- batch admission ---------------------------------------------------------
-
-    async def _batch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            keys = [await self._admission.get()]
-            deadline = loop.time() + self.window
-            while len(keys) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    keys.append(
-                        await asyncio.wait_for(self._admission.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            self._dispatch_batch(keys)
-
-    def _dispatch_batch(self, keys: list[str]) -> None:
-        tele = _telemetry.sink()
-        batch = [self._inflight[k] for k in keys if k in self._inflight]
-        if not batch:
-            return
-        self.stats.batches += 1
-        self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        if tele is not None:
-            tele.emit(
-                "serve.batch", size=len(batch), queued=self._admission.qsize()
-            )
-        for entry in batch:
-            self._dispatch_one(entry, tele)
+    # -- dispatch ----------------------------------------------------------------
 
     def _dispatch_one(self, entry: _Entry, tele: Any) -> None:
         import queue as queue_mod

@@ -352,7 +352,6 @@ def _serve_stream(tmp_path):
             fleet,
             make_policy("central", 1),
             cache=ResultCache(tmp_path / "serve-cache"),
-            window=0.005,
         )
         await service.start()
         await asyncio.gather(service.submit(spec), service.submit(spec))
@@ -377,7 +376,6 @@ class TestWatchServePanel:
         assert state.serve_dispatched == 1
         assert state.serve_completed == 1
         assert state.serve_errors == 0
-        assert state.serve_batches == 1
 
     def test_render_shows_the_serve_panel(self, tmp_path):
         state = WatchState()
@@ -387,7 +385,7 @@ class TestWatchServePanel:
         assert "serve      :" in text
         assert "policy central" in text
         assert "requests : 3 (1 cache, 1 coalesced, 1 computed)" in text
-        assert "fleet    : 1 dispatched in 1 batch(es)" in text
+        assert "fleet    : 1 dispatched · 1 done" in text
         assert "dedup 67%" in text
 
     def test_status_line_carries_serve_counts(self, tmp_path):

@@ -151,6 +151,47 @@ class TestResultCache:
         cache.put(spec, spec.run())
         assert cache.get(spec) is not None
 
+    def test_truncated_entry_is_reported_corrupt_and_deleted(self, tmp_path):
+        from repro.obs import telemetry
+
+        cache = ResultCache(tmp_path / "cache")
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        path = cache.put(spec, spec.run())
+        path.write_text(path.read_text()[:40])
+        stream = tmp_path / "stream.jsonl"
+        with telemetry.capture(stream):
+            assert cache.get(spec) is None
+        events = list(telemetry.read_events(stream))
+        assert [e.get("corrupt") for e in events if e["ev"] == "cache.miss"] == [True]
+        assert not [e for e in events if e["ev"] == "cache.error"]
+        assert not path.exists()
+
+    def test_unusable_root_is_a_plain_miss(self, tmp_path, monkeypatch):
+        # A cache root beneath a regular file cannot be read: every lookup
+        # is a miss with a cache.error, never a "corrupt" entry to unlink.
+        from pathlib import Path
+
+        from repro.obs import telemetry
+
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        cache = ResultCache(blocker / "cache")
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda path, missing_ok=False: unlinked.append(path))
+        stream = tmp_path / "stream.jsonl"
+        with telemetry.capture(stream):
+            assert cache.get(spec) is None
+            assert cache.get(spec) is None
+        monkeypatch.undo()
+        events = list(telemetry.read_events(stream))
+        misses = [e for e in events if e["ev"] == "cache.miss"]
+        errors = [e for e in events if e["ev"] == "cache.error"]
+        assert len(misses) == 2 and not any(e.get("corrupt") for e in misses)
+        assert [e["key"] for e in errors] == [spec.content_hash()[:12]] * 2
+        assert all("Not a directory" in e["error"] for e in errors)
+        assert cache.misses == 2 and unlinked == []
+
     def test_wrong_schema_or_key_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
@@ -435,7 +476,8 @@ def test_perfbench_runspec_calls(tmp_path, wall_clock_guard):
     Its sweep feeds ``RunSpec.from_scenario(Scenario.from_spec(s))`` to
     ``run_batch``, and its serve tracer keys each task by
     ``RunSpec.from_json(spec_json).key()`` over the text the service
-    hands to ``WorkerFleet.submit``.
+    hands to ``WorkerFleet.submit``.  It builds the service with the
+    ignored ``window``/``max_batch`` keywords and reads ``stats.batches``.
     """
     import asyncio
 
@@ -470,15 +512,23 @@ def test_perfbench_runspec_calls(tmp_path, wall_clock_guard):
             sent.append(spec_json)
 
         fleet.submit = record
-        service = ScenarioService(fleet, make_policy("central", 1), cache=ResultCache(tmp_path / "serve"))
+        service = ScenarioService(
+            fleet,
+            make_policy("central", 1),
+            cache=ResultCache(tmp_path / "serve"),
+            window=0.01,
+            max_batch=16,
+            high_water=1024,
+        )
         await service.start()
         try:
-            return await service.submit(sweep[2])
+            return await service.submit(sweep[2]), service.stats
         finally:
             await service.stop()
 
-    answer = asyncio.run(serve())
+    answer, stats = asyncio.run(serve())
     assert answer.source == "computed" and len(sent) == 1
+    assert stats.batches == stats.dispatched == 1
     assert RunSpec.from_json(sent[0]).key() == Scenario.from_spec(sweep[2]).content_hash() == answer.key
 
 

@@ -103,6 +103,14 @@ class TestHashStability:
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected
         assert ResultCache(tmp_path).path_for(sc).stem == expected
 
+    def test_fresh_hash_builds_its_topology_once(self, monkeypatch):
+        built = []
+        make = TOPOLOGIES.make
+        monkeypatch.setattr(TOPOLOGIES, "make", lambda spec, **kw: built.append(spec) or make(spec, **kw))
+        for kwargs, _ in GOLDEN_KEYS:
+            Scenario(**kwargs).content_hash()
+        assert built == [kwargs["topology"] for kwargs, _ in GOLDEN_KEYS]
+
     def test_warm_cache_written_before_redesign_still_hits(self, tmp_path):
         """A result cached under the scenario's hash is found by every
         other spelling of the same run (the PR-4 warm-cache contract)."""

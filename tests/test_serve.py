@@ -6,7 +6,7 @@ The serve contract under test, front to back:
   canonical-JSON byte-equality promise with ``repro run --json``;
 * the dispatch policies are deterministic adapters of the paper's
   strategies over live per-worker backlogs;
-* the fleet stays warm across batches and ships failures home as data;
+* the fleet stays warm across requests and ships failures home as data;
 * the service dedups three ways — coalesced requests share the
   *identical* result object, warm hits never touch the fleet, and the
   content hash is stable across spec spellings and submission order;
@@ -240,12 +240,25 @@ class TestFleet:
 
 
 def _service(tmp_path=None, **kw):
-    kw.setdefault("window", 0.005)
     cache = None if tmp_path is None else ResultCache(tmp_path)
     fleet = WorkerFleet(workers=kw.pop("workers", 1), queue_depth=kw.pop("queue_depth", 64))
     return ScenarioService(
         fleet, make_policy(kw.pop("policy", "central"), fleet.workers), cache=cache, **kw
     )
+
+
+class _Parked(list):
+    """Holds every task dispatched to ``fleet`` until :meth:`release`."""
+
+    def __init__(self, fleet: WorkerFleet) -> None:
+        super().__init__()
+        self._submit = fleet.submit
+        fleet.submit = lambda *task: self.append(task)
+
+    def release(self) -> None:
+        for task in self:
+            self._submit(*task)
+        self.clear()
 
 
 class TestService:
@@ -368,20 +381,44 @@ class TestService:
 
         assert asyncio.run(go()).source == "computed"
 
+    def test_a_miss_is_dispatched_before_submit_first_yields(self, tmp_path):
+        async def go():
+            service = _service(tmp_path)
+            await service.start()
+            sent = []
+            submit = service.fleet.submit
+            service.fleet.submit = lambda *task: (sent.append(task), submit(*task))
+            try:
+                pending = asyncio.ensure_future(service.submit(SPEC))
+                await asyncio.sleep(0)  # one step of the submit task
+                return list(sent), await pending
+            finally:
+                await service.stop()
+
+        sent, answer = asyncio.run(go())
+        assert [spec_json for _, _, spec_json in sent] == [
+            task_json(Scenario.from_spec(SPEC).seeded())
+        ]
+        assert answer.source == "computed"
+
     def test_high_water_turns_away_excess_load(self, tmp_path):
         async def go():
-            service = _service(tmp_path, high_water=1, window=0.2)
+            service = _service(tmp_path, high_water=1)
             await service.start()
+            parked = _Parked(service.fleet)
             try:
                 first = asyncio.ensure_future(service.submit(SPEC))
-                await asyncio.sleep(0.05)  # let it be admitted
+                await asyncio.sleep(0)  # admitted; its task is parked
+                assert len(parked) == 1
                 with pytest.raises(Busy):
                     await service.submit(OTHER)
                 busy_stat = service.stats.rejected
                 # The duplicate of an in-flight spec still coalesces —
                 # dedup is cheaper than admission and bypasses the gate.
-                dup = await service.submit(SPEC)
-                return await first, dup, busy_stat
+                dup = asyncio.ensure_future(service.submit(SPEC))
+                await asyncio.sleep(0)
+                parked.release()
+                return await first, await dup, busy_stat
             finally:
                 await service.stop()
 
@@ -389,6 +426,36 @@ class TestService:
         assert first.source == "computed"
         assert dup.source == "coalesced"
         assert rejected == 1
+
+    def test_full_fleet_queue_turns_a_miss_away(self, tmp_path):
+        # One worker holding one task: a second, distinct miss finds
+        # every queue full while the first is in flight.
+        other_key = Scenario.from_spec(OTHER).seeded().content_hash()
+
+        async def go():
+            service = _service(tmp_path, queue_depth=1)
+            await service.start()
+
+            async def turned_away():
+                with pytest.raises(Busy, match="every fleet queue is at capacity"):
+                    await service.submit(OTHER)
+                return other_key in service._inflight
+
+            try:
+                first, still_inflight, dup = await asyncio.gather(
+                    service.submit(SPEC), turned_away(), service.submit(SPEC)
+                )
+                rejected = service.stats.rejected
+                retry = await service.submit(OTHER)
+            finally:
+                await service.stop()
+            return first, still_inflight, dup, rejected, retry
+
+        first, still_inflight, dup, rejected, retry = asyncio.run(go())
+        assert (first.source, dup.source) == ("computed", "coalesced")
+        assert dup.result is first.result
+        assert rejected == 1 and not still_inflight
+        assert retry.source == "computed" and retry.key == other_key
 
     def test_stop_drains_admitted_work(self, tmp_path):
         async def go():
@@ -438,10 +505,6 @@ class TestService:
         fleet = WorkerFleet(workers=1)
         policy = make_policy("central", 1)
         with pytest.raises(ValueError):
-            ScenarioService(fleet, policy, window=-1)
-        with pytest.raises(ValueError):
-            ScenarioService(fleet, policy, max_batch=0)
-        with pytest.raises(ValueError):
             ScenarioService(fleet, policy, high_water=0)
 
 
@@ -469,7 +532,7 @@ class TestKilledWorker:
         killed = specs.index(f"fib:7 @ grid:2x2 / cwn?seed={KILL_SEED}")
 
         async def go():
-            server = build_server(port=0, workers=2, window=0.005)
+            server = build_server(port=0, workers=2)
             server.service.cache = ResultCache(tmp_path)
             fleet = server.service.fleet
             answered = []  # (worker, ok) of every task, in fleet order
@@ -571,7 +634,7 @@ async def _http(port: int, method: str, path: str, body: bytes = b"") -> tuple[i
 class TestHttpFront:
     def test_end_to_end(self, tmp_path):
         async def go():
-            server = build_server(port=0, workers=1, window=0.005)
+            server = build_server(port=0, workers=1)
             server.service.cache = ResultCache(tmp_path)
             await server.start()
             port = server.port
@@ -606,7 +669,7 @@ class TestHttpFront:
 
     def test_keep_alive_serves_many_requests_per_connection(self, tmp_path):
         async def go():
-            server = build_server(port=0, workers=1, window=0.005)
+            server = build_server(port=0, workers=1)
             server.service.cache = ResultCache(tmp_path)
             await server.start()
             try:
@@ -644,7 +707,7 @@ class TestHttpFront:
 
     def test_shutdown_request_drains_and_stops(self, tmp_path):
         async def go():
-            server = build_server(port=0, workers=1, window=0.005)
+            server = build_server(port=0, workers=1)
             server.service.cache = ResultCache(tmp_path)
             await server.start()
             pending = asyncio.ensure_future(
@@ -671,7 +734,7 @@ class TestStdinFront:
             f"{SPEC}\n# a comment\n\n{SPEC}\n{OTHER}\n"
         )
         out = io.StringIO()
-        code = serve_stdin(lines=lines, out=out, workers=1, window=0.005)
+        code = serve_stdin(lines=lines, out=out, workers=1)
         assert code == 0
         answers = [json.loads(line) for line in out.getvalue().splitlines()]
         assert len(answers) == 3
@@ -692,7 +755,7 @@ class TestStdinFront:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
         spec = "fib:5 @ grid:2x2 / cwn"
         out = io.StringIO()
-        assert serve_stdin(lines=io.StringIO(spec + "\n"), out=out, workers=1, window=0.005) == 0
+        assert serve_stdin(lines=io.StringIO(spec + "\n"), out=out, workers=1) == 0
         answers = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [a["source"] for a in answers] == ["computed"]
         assert json.dumps(answers[0]["result"], sort_keys=True, separators=(",", ":")) == _direct(spec)
@@ -701,7 +764,7 @@ class TestStdinFront:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         lines = io.StringIO(f"not a spec\n{SPEC}\n")
         out = io.StringIO()
-        assert serve_stdin(lines=lines, out=out, workers=1, window=0.005) == 0
+        assert serve_stdin(lines=lines, out=out, workers=1) == 0
         answers = [json.loads(line) for line in out.getvalue().splitlines()]
         assert len(answers) == 2
         errors = [a for a in answers if a.get("status") == "error"]
@@ -742,7 +805,7 @@ class TestReplay:
     def test_replay_compares_three_policies_on_one_stream(self):
         stream = [ReplayRequest(s) for s in (SPEC, SPEC, OTHER, SPEC)]
         stats = run_replay(
-            stream, policies=("central", "cwn", "gm"), workers=2, window=0.005
+            stream, policies=("central", "cwn", "gm"), workers=2
         )
         assert [s.policy for s in stats] == ["central", "cwn", "gm"]
         for s in stats:
