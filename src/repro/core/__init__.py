@@ -472,7 +472,10 @@ def canonical_spec(spec: str | Strategy, family: str = "grid") -> str:
     Bare family-parameterized names are resolved first — on a grid,
     ``canonical_spec("cwn")``, ``canonical_spec("cwn:radius=9,horizon=2")``
     and ``canonical_spec(paper_cwn("grid"))`` all yield the same string,
-    so the result cache treats them as one configuration.
+    so the result cache treats them as one configuration.  Spec strings
+    go through the registry's memo, keyed by spelling and ``family``
+    (:meth:`~repro.scenario.Registry.canonical`).
     """
-    strategy = make_strategy(spec, family=family) if isinstance(spec, str) else spec
-    return spec_of(strategy)
+    if isinstance(spec, str):
+        return STRATEGIES.canonical(spec, family=family).spec
+    return spec_of(spec)

@@ -101,6 +101,10 @@ def run_batch(
         the same deterministic spec — they only help against transient
         infrastructure failures, which is exactly the point: a
         deterministic simulation bug should fail loudly, not flakily.
+    progress:
+        Called once per spec, as it lands: a hit when it is read, a
+        farmed run right after it is persisted, a failure when its
+        retries are spent, a local run when it returns.
     strict:
         On permanent failure, raise (default) or record the failure and
         leave ``None`` in that result slot.
@@ -149,29 +153,36 @@ def run_batch(
     retried = 0
     failures: list[RunFailure] = []
     attempt = 0
+
+    def landed(i: int, res: SimResult) -> None:
+        # Each completed run is persisted, then reported, the moment it
+        # reaches this process (not when the whole batch returns): an
+        # interrupted or crashed batch keeps everything that finished,
+        # so reruns resume, and progress moves as results land.
+        nonlocal simulated, retried
+        results[i] = res
+        simulated += 1
+        if attempt > 0:
+            retried += 1
+        if reading:
+            spec = specs[i]
+            # A failed write (full disk, read-only cache) costs only a
+            # later warm hit: the result stands and the batch goes on.
+            try:
+                cache.put(spec, res)
+            except OSError as exc:
+                if tele is not None:
+                    tele.emit("cache.error", key=spec.content_hash()[:12], error=str(exc))
+        advance("sim")
+
     while pending:
-        # Persist each completed run the moment it reaches this process
-        # (not when the whole batch returns): an interrupted or crashed
-        # batch keeps everything that finished, so reruns resume.
         batch = pending
-
-        def persist(local_index: int, res: SimResult) -> None:
-            if reading:
-                spec = specs[batch[local_index]]
-                # A failed write (full disk, read-only cache) costs only
-                # a later warm hit: the result stands and the batch goes on.
-                try:
-                    cache.put(spec, res)
-                except OSError as exc:
-                    if tele is not None:
-                        tele.emit("cache.error", key=spec.content_hash()[:12], error=str(exc))
-
         if attempt == 0:
             outcome = run_many(
                 [specs[i] for i in batch],
                 jobs=jobs,
                 return_errors=True,
-                on_result=persist,
+                on_result=lambda local_index, res: landed(batch[local_index], res),
             )
         else:
             # Isolated retries: one spec per fresh single-worker fleet,
@@ -180,13 +191,13 @@ def run_batch(
             # takes its batch-mates down (the fleet fails only the spec
             # it died on), so each retry's fate is its own spec's.
             outcome = []
-            for pos, i in enumerate(batch):
+            for i in batch:
                 outcome.extend(
                     run_many(
                         [specs[i]],
                         jobs=1,
                         return_errors=True,
-                        on_result=lambda _local, res, pos=pos: persist(pos, res),
+                        on_result=lambda _local, res, i=i: landed(i, res),
                         isolate=True,
                     )
                 )
@@ -196,12 +207,6 @@ def run_batch(
             if isinstance(res, RunFailure):
                 still_failing.append(i)
                 last_failures.append(res)
-                continue
-            results[i] = res
-            simulated += 1
-            if attempt > 0:
-                retried += 1
-            advance("sim")
         if not still_failing:
             break
         if attempt >= retries:

@@ -32,6 +32,17 @@ through ``entry_points`` instead: expose a callable under the
 registry's group (``repro.strategies``, ``repro.topologies``,
 ``repro.workloads``) and it is invoked with the registry the first
 time an unknown name is looked up (or the names are listed).
+
+Each registry also memoizes :meth:`Registry.canonical`: what a spec
+string canonicalizes to.  Content hashing canonicalizes every part of
+every scenario, and a sweep spells the same few topologies, workloads
+and strategies over and over, so a process builds each spelling's
+object once, not once per hash.  The memo holds at most
+:data:`CANONICAL_CAPACITY` spellings and is emptied by every
+:meth:`~Registry.add` and :meth:`~Registry.remove` (entry-point
+discovery registers through ``add``).  It relies on one contract: a
+builder and its speller are pure functions of the spec string and its
+context.
 """
 
 from __future__ import annotations
@@ -39,9 +50,15 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
-__all__ = ["Entry", "Registry"]
+__all__ = ["CANONICAL_CAPACITY", "Canonical", "Entry", "Registry"]
+
+#: Most spellings one registry's canonical memo holds.  A sweep spells a
+#: handful of topologies, workloads and strategies; the bound only stops
+#: a stream of distinct spellings (``repro serve`` takes them from
+#: clients) from growing the memo for the life of the process.
+CANONICAL_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -61,20 +78,40 @@ class Entry:
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
 
+class Canonical(NamedTuple):
+    """What canonicalizing one spec string yields (see :meth:`Registry.canonical`)."""
+
+    #: the canonical spec string
+    spec: str
+    #: the registry's ``facts`` of the built object (``()`` without them)
+    facts: tuple[Any, ...]
+
+
 class Registry:
     """An open, string-keyed factory: spec kind -> :class:`Entry`.
 
     ``kind_label`` names the vocabulary in error messages ("strategy",
     "topology", "workload"); ``entry_point_group`` optionally names an
     ``importlib.metadata`` entry-point group scanned (once, lazily) for
-    out-of-tree registrations.
+    out-of-tree registrations.  ``facts`` maps a built object to a
+    tuple of immutable values :meth:`canonical` keeps beside its
+    spelling, so callers that need them need not build the object.
     """
 
-    def __init__(self, kind_label: str, entry_point_group: str | None = None) -> None:
+    def __init__(
+        self,
+        kind_label: str,
+        entry_point_group: str | None = None,
+        *,
+        facts: Callable[[Any], tuple[Any, ...]] | None = None,
+    ) -> None:
         self.kind_label = kind_label
         self.entry_point_group = entry_point_group
+        self._facts = facts
         self._entries: dict[str, Entry] = {}
         self._discovered = entry_point_group is None
+        #: (spec, *sorted context items) -> Canonical; successes only
+        self._canonical: dict[tuple[Any, ...], Canonical] = {}
 
     # -- registration ------------------------------------------------------------
 
@@ -119,11 +156,13 @@ class Registry:
             )
         entry = Entry(key, builder, cls=cls, spell=spell, metadata=metadata or {})
         self._entries[key] = entry
+        self._canonical = {}
         return entry
 
     def remove(self, name: str) -> None:
         """Unregister ``name`` (mainly for tests and plugin teardown)."""
         del self._entries[name.strip().lower()]
+        self._canonical = {}
 
     # -- lookup ------------------------------------------------------------------
 
@@ -186,6 +225,37 @@ class Registry:
             if entry.cls is not None and type(obj) is entry.cls and entry.spell is not None:
                 return entry.spell(obj)
         raise ValueError(f"no spec-string syntax for {type(obj).__name__}")
+
+    def canonical(self, spec: str, **context: Any) -> Canonical:
+        """The canonical spelling of ``spec`` under ``context``, memoized.
+
+        The first call for a ``(spec, context)`` pair builds the object
+        (:meth:`make`), spells it (:meth:`spec_of`) and keeps the result
+        with the registry's ``facts``; later calls build nothing.  Only
+        successes are kept: a spec that fails raises the same
+        :class:`ValueError` on every call.  ``context`` is part of the
+        key, since bare strategy names resolve per topology family.
+        """
+        key = (spec, *sorted(context.items())) if context else (spec,)
+        found = self._canonical.get(key)
+        if found is not None:
+            return found
+        # Discovery registers through add(), which empties the memo:
+        # run it before taking the memo this result goes into.
+        self._discover()
+        memo = self._canonical
+        built = self.make(spec, **context)
+        found = Canonical(self.spec_of(built), self._facts(built) if self._facts else ())
+        memo[key] = found
+        # Trim the oldest entries in a loop, not once: a trim that loses
+        # a race to another thread stops, and the next insert finishes
+        # it, so the memo never stays past its bound.
+        while len(memo) > CANONICAL_CAPACITY:
+            try:
+                memo.pop(next(iter(memo)))
+            except (KeyError, StopIteration, RuntimeError):
+                break
+        return found
 
     # -- diagnostics and discovery -----------------------------------------------
 

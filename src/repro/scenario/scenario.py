@@ -190,22 +190,28 @@ class Scenario:
         it), the seed override is folded into the config, and the
         arrival block is canonicalized.  Injection PEs outside the
         topology raise :class:`ValueError` here, before any run starts.
+
+        The spellings come from the registries' memos
+        (:meth:`~repro.scenario.Registry.canonical`), which keep the
+        topology's PE count and family too: once a process has seen a
+        spelling, canonicalizing another scenario with it builds no
+        topology, strategy or workload object.
         """
-        from ..core import canonical_spec as canonical_strategy
-        from ..topology import make as make_topology, spec_of as topology_spec
-        from ..workload import canonical_spec as canonical_workload
+        from ..core import STRATEGIES
+        from ..topology import TOPOLOGIES
+        from ..workload import WORKLOADS
 
         spelled = self.spelled()
-        built = make_topology(spelled.topology)
-        topology = topology_spec(built)
-        if not 0 <= self.start_pe < built.n:
-            raise ValueError(f"start_pe {self.start_pe} outside 0..{built.n - 1}")
-        self.arrivals.check_pes(built.n)
+        topology = TOPOLOGIES.canonical(spelled.topology)
+        n, family = topology.facts
+        if not 0 <= self.start_pe < n:
+            raise ValueError(f"start_pe {self.start_pe} outside 0..{n - 1}")
+        self.arrivals.check_pes(n)
         return replace(
             spelled,
-            workload=canonical_workload(spelled.workload),
-            topology=topology,
-            strategy=canonical_strategy(spelled.strategy, family=built.family),
+            workload=WORKLOADS.canonical(spelled.workload).spec,
+            topology=topology.spec,
+            strategy=STRATEGIES.canonical(spelled.strategy, family=family).spec,
             config=self.effective_config,
             seed=None,
             arrivals=self.arrivals.canonical(),
@@ -214,10 +220,10 @@ class Scenario:
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON-able form — the preimage of :meth:`content_hash`.
 
-        Canonicalization re-parses every spec string (it even builds the
-        topology to resolve the strategy family), so the result is
-        memoized on the instance — the cache consults it several times
-        per run, and the fields it derives from are frozen.
+        The result is memoized on the instance — the cache consults it
+        several times per run, and the fields it derives from are
+        frozen.  A fresh instance re-reads its parts' spellings from the
+        registries' memos (see :meth:`canonical`).
 
         The layout is byte-compatible with the farm's pre-Scenario
         canonical form: default arrivals are omitted entirely, so every

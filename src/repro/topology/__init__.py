@@ -87,8 +87,14 @@ def paper_dlm(n_pes: int) -> DoubleLatticeMesh:
 #: The open topology vocabulary: :func:`make` / :func:`spec_of` / the
 #: Scenario spec grammar / ``repro list topologies`` all read this one
 #: table.  Third parties extend it with ``@TOPOLOGIES.register`` or a
-#: ``repro.topologies`` entry point.
-TOPOLOGIES = Registry("topology", entry_point_group="repro.topologies")
+#: ``repro.topologies`` entry point.  Its canonical memo keeps each
+#: topology's PE count and family, which ``Scenario.canonical()``
+#: checks injection PEs against and resolves the strategy with.
+TOPOLOGIES = Registry(
+    "topology",
+    entry_point_group="repro.topologies",
+    facts=lambda topology: (topology.n, topology.family),
+)
 
 
 def _spell_grid(topology: Grid) -> str:
@@ -231,6 +237,10 @@ def spec_of(topology: Topology) -> str:
 
 
 def canonical_spec(spec: str | Topology) -> str:
-    """Normalize a topology spec (or object) to its canonical spelling."""
-    topology = make(spec) if isinstance(spec, str) else spec
-    return spec_of(topology)
+    """Normalize a topology spec (or object) to its canonical spelling.
+
+    Spec strings go through the registry's memo
+    (:meth:`~repro.scenario.Registry.canonical`), so each spelling is
+    built once per process.
+    """
+    return TOPOLOGIES.canonical(spec).spec if isinstance(spec, str) else spec_of(spec)

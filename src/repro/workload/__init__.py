@@ -239,7 +239,8 @@ def canonical_spec(spec: str | Program) -> str:
 
     ``canonical_spec("FIB:9") == canonical_spec("fib:9") == "fib:9"`` —
     the content-addressed result cache keys on this, so spelling
-    variants of the same workload share cache entries.
+    variants of the same workload share cache entries.  Spec strings go
+    through the registry's memo
+    (:meth:`~repro.scenario.Registry.canonical`).
     """
-    program = make(spec) if isinstance(spec, str) else spec
-    return spec_of(program)
+    return WORKLOADS.canonical(spec).spec if isinstance(spec, str) else spec_of(spec)

@@ -410,6 +410,19 @@ class TestRunBatch:
         report = run_batch(SPECS, jobs=1, cache=cache)
         assert report.hits == 2 and report.simulated == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_moves_as_each_result_lands(self, tmp_path, jobs):
+        # The k-th "sim" report comes right after the k-th result is
+        # persisted, not in one block after the whole farm returns.
+        cache = ResultCache(tmp_path)
+        seen = []
+
+        def progress(done, _total, source):
+            seen.append((done, source, cache.stats().entries))
+
+        run_batch(SPECS, jobs=jobs, cache=cache, progress=progress)
+        assert seen == [(k, "sim", k) for k in range(1, len(SPECS) + 1)]
+
     def test_use_cache_false_neither_reads_nor_writes(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_batch(SPECS[:1], jobs=1, cache=cache, use_cache=False)

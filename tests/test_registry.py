@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.core import STRATEGIES, KeepLocal, make_strategy
+from repro.core import STRATEGIES, KeepLocal, canonical_spec as canonical_strategy, make_strategy
 from repro.scenario import Registry, Scenario
+from repro.scenario.registry import CANONICAL_CAPACITY
 from repro.topology import TOPOLOGIES, make as make_topology
 from repro.workload import WORKLOADS, make as make_workload
 
@@ -152,3 +156,103 @@ class TestPluginRegistration:
         reg = Registry("strategy", entry_point_group="test.group")
         reg.add("ok", lambda rest: "ok")
         assert reg.names() == ("ok",)
+
+
+def _counting_registry() -> tuple[Registry, list[str]]:
+    """A registry whose one kind spells a string as itself, logging builds."""
+    built: list[str] = []
+    reg = Registry("thing")
+
+    def build(rest):
+        built.append(rest)
+        if rest == "bad":
+            raise ValueError("no bad things")
+        return rest
+
+    reg.add("t", build, cls=str, spell=lambda s: f"t:{s}")
+    return reg, built
+
+
+class TestCanonicalMemo:
+    def test_a_spelling_is_built_once(self):
+        reg, built = _counting_registry()
+        assert reg.canonical("t:a") == ("t:a", ())
+        assert reg.canonical("t:a").spec == "t:a"
+        assert built == ["a"]
+
+    def test_context_is_part_of_the_key(self):
+        # Bare names take the family's Table-1 parameters, so one
+        # spelling canonicalizes differently on grids and on DLMs.
+        assert canonical_strategy("cwn", family="grid") == "cwn:radius=9,horizon=2"
+        assert canonical_strategy("cwn", family="dlm") == "cwn:radius=5,horizon=1"
+        assert canonical_strategy("cwn", family="grid") == "cwn:radius=9,horizon=2"
+
+    def test_failures_are_not_memoized(self):
+        reg, built = _counting_registry()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed thing spec 't:bad'"):
+                reg.canonical("t:bad")
+        assert built == ["bad", "bad"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown topology 'gird'"):
+                Scenario("fib:9", "gird:4x4", "cwn").content_hash()
+            with pytest.raises(ValueError, match="malformed workload spec"):
+                Scenario("fib:x", "grid:4x4", "cwn").content_hash()
+
+    def test_reregistering_a_kind_changes_the_next_hash(self):
+        def build(rest, family="grid"):
+            return _EagerLocal()
+
+        STRATEGIES.add("memolocal", build, cls=_EagerLocal, spell=lambda s: "memolocal",
+                       metadata={"summary": "test plugin", "example": "memolocal"})
+        try:
+            before = Scenario("fib:9", "grid:4x4", "memolocal", seed=1).content_hash()
+            STRATEGIES.remove("memolocal")
+            STRATEGIES.add("memolocal", build, cls=_EagerLocal, spell=lambda s: "memolocal:v2",
+                           metadata={"summary": "test plugin", "example": "memolocal"})
+            after = Scenario("fib:9", "grid:4x4", "memolocal", seed=1).content_hash()
+        finally:
+            STRATEGIES.remove("memolocal")
+        assert after != before
+        with pytest.raises(ValueError, match="unknown strategy 'memolocal'"):
+            Scenario("fib:9", "grid:4x4", "memolocal", seed=1).content_hash()
+
+    def test_memo_stays_at_its_bound(self):
+        reg, built = _counting_registry()
+        extra = 10
+        for i in range(CANONICAL_CAPACITY + extra):
+            assert reg.canonical(f"t:{i}").spec == f"t:{i}"
+        assert len(reg._canonical) == CANONICAL_CAPACITY
+        built.clear()
+        reg.canonical(f"t:{CANONICAL_CAPACITY + extra - 1}")  # the newest is kept
+        reg.canonical("t:0")  # the oldest was evicted
+        assert built == ["0"]
+
+    def test_concurrent_fills_stay_correct_and_bounded(self, wall_clock_guard):
+        # More threads than cores, switching every microsecond, each
+        # pushing its own spellings through the memo past its capacity.
+        wall_clock_guard(60)
+        reg, _ = _counting_registry()
+        threads, per_thread = 4, CANONICAL_CAPACITY // 2
+        wrong: list[str] = []
+
+        def fill(tid: int) -> None:
+            for i in range(per_thread):
+                spec = f"t:{tid}-{i}"
+                if reg.canonical(spec).spec != spec:
+                    wrong.append(spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fill, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+        # Capacity is a soft bound: each thread may lose one eviction race.
+        assert abs(len(reg._canonical) - CANONICAL_CAPACITY) <= threads

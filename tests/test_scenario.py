@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,38 @@ GOLDEN_KEYS = [
 ]
 
 
+#: "<workload> @ <topology> / <strategy>?seed=1" -> sha256, written from
+#: the tree before the registries memoized canonical spellings: every
+#: strategy (bare, and as its example) on a grid and on a DLM, since bare
+#: names resolve per topology family; every topology example under
+#: fib:9 / cwn; every workload example on grid:4x4 / cwn.  A new kind
+#: needs its line here (its key is ``Scenario.from_spec(spec).content_hash()``).
+REGISTRY_KEYS = json.loads(
+    (Path(__file__).parent / "golden" / "registry_keys.json").read_text()
+)
+
+
+def registry_key_specs() -> set[str]:
+    """The specs the registry golden file must pin, from the live registries."""
+    specs = set()
+    for topology in ("grid:4x4", "dlm:5x5x5"):
+        for name in STRATEGIES.names():
+            for strategy in (name, STRATEGIES.metadata(name)["example"]):
+                specs.add(f"fib:9 @ {topology} / {strategy}?seed=1")
+    for name in TOPOLOGIES.names():
+        specs.add(f"fib:9 @ {TOPOLOGIES.metadata(name)['example']} / cwn?seed=1")
+    for name in WORKLOADS.names():
+        specs.add(f"{WORKLOADS.metadata(name)['example']} @ grid:4x4 / cwn?seed=1")
+    return specs
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Every registry's canonical memo emptied for one test (restored after)."""
+    for registry in (STRATEGIES, TOPOLOGIES, WORKLOADS):
+        monkeypatch.setattr(registry, "_canonical", {})
+
+
 class TestHashStability:
     @pytest.mark.parametrize("kwargs,expected", GOLDEN_KEYS,
                              ids=[k[0]["strategy"] + "-" + str(i) for i, k in enumerate(GOLDEN_KEYS)])
@@ -103,13 +136,36 @@ class TestHashStability:
         assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == expected
         assert ResultCache(tmp_path).path_for(sc).stem == expected
 
-    def test_fresh_hash_builds_its_topology_once(self, monkeypatch):
-        built = []
-        make = TOPOLOGIES.make
-        monkeypatch.setattr(TOPOLOGIES, "make", lambda spec, **kw: built.append(spec) or make(spec, **kw))
+    def test_fresh_hash_builds_its_topology_once(self, monkeypatch, cold_memos):
+        # A process builds each spelling once: the first hash that meets
+        # it fills the registry's memo, and fresh scenarios with the same
+        # spellings then build no topology, strategy or workload at all.
+        built = {registry: [] for registry in (STRATEGIES, TOPOLOGIES, WORKLOADS)}
+        for registry, log in built.items():
+            def counting(spec, _make=registry.make, _log=log, **context):
+                _log.append((spec, *sorted(context.items())))
+                return _make(spec, **context)
+
+            monkeypatch.setattr(registry, "make", counting)
         for kwargs, _ in GOLDEN_KEYS:
             Scenario(**kwargs).content_hash()
-        assert built == [kwargs["topology"] for kwargs, _ in GOLDEN_KEYS]
+        topologies = [kwargs["topology"] for kwargs, _ in GOLDEN_KEYS]
+        assert built[TOPOLOGIES] == [(spec,) for spec in dict.fromkeys(topologies)]
+        for log in built.values():
+            assert log and len(set(log)) == len(log)
+            log.clear()
+        for kwargs, expected in GOLDEN_KEYS:
+            assert Scenario(**kwargs).content_hash() == expected
+        assert built == {registry: [] for registry in built}
+
+    def test_golden_registry_keys_cover_every_kind(self):
+        assert set(REGISTRY_KEYS) == registry_key_specs()
+
+    @pytest.mark.parametrize("spec", sorted(REGISTRY_KEYS))
+    def test_registry_keys_unchanged(self, spec, cold_memos):
+        # Once through an empty memo, once through the one that filled.
+        assert Scenario.from_spec(spec).content_hash() == REGISTRY_KEYS[spec]
+        assert Scenario.from_spec(spec).content_hash() == REGISTRY_KEYS[spec]
 
     def test_warm_cache_written_before_redesign_still_hits(self, tmp_path):
         """A result cached under the scenario's hash is found by every
@@ -234,10 +290,13 @@ class TestSpecGrammar:
         ("start=7", "start_pe 7 outside 0..3"),
         ("queries=2&pes=0;9", "valid PE"),
     ])
-    def test_out_of_range_pes_fail_the_hash_not_the_run(self, query, message):
-        sc = Scenario.from_spec(f"fib:9 @ grid:2x2 / cwn?{query}")
-        with pytest.raises(ValueError, match=message):
-            sc.content_hash()
+    def test_out_of_range_pes_fail_the_hash_not_the_run(self, query, message, cold_memos):
+        # The topology's memo entry is filled by the first try, so the
+        # second meets the same check on a hit: failures are never kept.
+        for _ in range(2):
+            sc = Scenario.from_spec(f"fib:9 @ grid:2x2 / cwn?{query}")
+            with pytest.raises(ValueError, match=message):
+                sc.content_hash()
 
     def test_pe_speeds_has_no_spelling(self):
         sc = Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(pe_speeds=(1.0,) * 16))
