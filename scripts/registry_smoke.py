@@ -1,23 +1,35 @@
-"""CI gate: the registries, the CLI listing, and the spec grammar agree.
+"""CI gate: the registries, the CLI listing, the spec grammar and the
+cache keys agree.
 
-Two checks, both driven through the real console entry points so a
-wiring regression (registry entry without a working example, `repro
-list` output drifting from the registries, a broken `repro run`
-scenario path) fails the build:
+The first two checks drive the real console entry points so a wiring
+regression (registry entry without a working example, `repro list`
+output drifting from the registries, a broken `repro run` scenario
+path) fails the build; the third pins every cache key the benchmark
+can touch:
 
 1. every line of ``repro list`` output names a registered entry whose
    advertised example spec actually constructs (and nothing registered
    is missing from the listing);
-2. ``repro run "fib:10 @ grid:4x4 / cwn"`` exits 0.
+2. ``repro run "fib:10 @ grid:4x4 / cwn"`` exits 0;
+3. every spec of ``perfbench/inputs.py``'s ``all_specs()`` hashes to
+   the stored digest of its 6,484 keys, once through emptied registry
+   memos and once more, warm, through fresh ``Scenario`` objects.
 
 Run me as ``PYTHONPATH=src python scripts/registry_smoke.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import subprocess
 import sys
+from pathlib import Path
+
+#: sha256 prefix over the content hashes of every perfbench spec, in
+#: ``all_specs()`` order; it moves only when a change means to move keys
+PERFBENCH_KEYS_DIGEST = "46f96b8e8f1aa8ba"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SECTION_FACTORIES = {
     "strategies": lambda spec: __import__("repro.core", fromlist=["make_strategy"]).make_strategy(spec),
@@ -83,6 +95,41 @@ def main() -> int:
         print(f"FAIL: `repro run {spec!r}` exited {proc.returncode}", file=sys.stderr)
         return 1
     print(f"ok: repro run {spec!r} -> {proc.stdout.strip().splitlines()[-1]}")
+    return check_perfbench_keys()
+
+
+def keys_digest(specs: list[str]) -> str:
+    from repro.scenario import Scenario
+
+    digest = hashlib.sha256()
+    for spec in specs:
+        digest.update(Scenario.from_spec(spec).content_hash().encode())
+    return digest.hexdigest()[:16]
+
+
+def check_perfbench_keys() -> int:
+    """Hash every perfbench spec cold, then warm; both must give the digest."""
+    from repro.core import STRATEGIES
+    from repro.topology import TOPOLOGIES
+    from repro.workload import WORKLOADS
+
+    # Read perfbench's input module without writing into its directory.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    specs = inputs.all_specs()
+    for registry in (STRATEGIES, TOPOLOGIES, WORKLOADS):
+        registry._canonical = {}
+    for memo in ("cold", "warm"):
+        found = keys_digest(specs)
+        if found != PERFBENCH_KEYS_DIGEST:
+            print(f"FAIL: the {len(specs)} perfbench keys hash to {found} through a "
+                  f"{memo} memo, not {PERFBENCH_KEYS_DIGEST}", file=sys.stderr)
+            return 1
+    print(f"ok: {len(specs)} perfbench keys digest to {PERFBENCH_KEYS_DIGEST}, cold and warm")
     return 0
 
 

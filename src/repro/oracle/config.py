@@ -275,12 +275,31 @@ class SimConfig:
         run specs and the on-disk result cache.  :meth:`from_dict` is the
         exact inverse (``from_dict(to_dict(c)) == c``).  Built field by
         field: ``asdict`` would deep-copy scalars for every task the farm ships.
+
+        Every call builds a fresh dict, which the caller may mutate;
+        :meth:`serialized` is the memoized, shared copy the content hash
+        reads.
         """
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["costs"] = self.costs.to_dict()
         if self.pe_speeds is not None:
             data["pe_speeds"] = list(self.pe_speeds)
         return data
+
+    def serialized(self) -> dict[str, object]:
+        """:meth:`to_dict`, built once per instance and shared — read only.
+
+        :meth:`~repro.scenario.Scenario.canonical_dict` embeds it, so
+        scenarios that share a config object (every spec without
+        ``cfg.``/``cost.`` overrides, a plan's runs) serialize it once
+        per process.  The memo is private state on the frozen instance:
+        equality, hashing and :meth:`replace` see only the fields.
+        """
+        cached = self.__dict__.get("_serialized")
+        if cached is None:
+            cached = self.to_dict()
+            object.__setattr__(self, "_serialized", cached)
+        return cached
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SimConfig":

@@ -216,15 +216,34 @@ class ResultCache:
     def _version_dir(self) -> Path:
         return self.root / f"v{CACHE_SCHEMA}"
 
+    def _address(self, key: str) -> str:
+        """The entry path for ``key``, as the string the file calls take.
+
+        ``os.path.join`` on the root, not ``pathlib``: the warm hit path
+        runs once per spec, and a ``Path`` costs several times the join.
+        A relative root resolves against the working directory at each
+        call, as a ``Path`` would.
+        """
+        return os.path.join(self.root, f"v{CACHE_SCHEMA}", key[:2], key + ".json")
+
     def path_for(self, scenario: Scenario) -> Path:
-        """Where ``scenario``'s result lives (whether or not it exists yet)."""
-        key = scenario.content_hash()
-        return self._version_dir / key[:2] / f"{key}.json"
+        """Where ``scenario``'s result lives (whether or not it exists yet).
+
+        ``<root>/v<schema>/<kk>/<key>.json`` with ``key`` the scenario's
+        :meth:`~repro.scenario.Scenario.content_hash`: the address
+        :meth:`get` and :meth:`put` use, as a :class:`~pathlib.Path`.
+        """
+        return Path(self._address(scenario.content_hash()))
 
     # -- lookup ------------------------------------------------------------------
 
     def get(self, scenario: Scenario) -> SimResult | None:
         """The stored result, or ``None`` on miss.
+
+        A hit costs one key (:meth:`Scenario.content_hash`), one string
+        address, one read of the entry's bytes, one ``json.loads`` and
+        one :func:`result_from_dict`; the in-process memo skips the read
+        and the parse for an entry this instance has read before.
 
         Any defect in the stored entry — unparsable JSON, wrong schema,
         key mismatch, missing fields — deletes the entry and reports a
@@ -233,8 +252,7 @@ class ResultCache:
         entry) is a plain miss with a ``cache.error`` event: nothing is
         known to be corrupt, so nothing is deleted.
         """
-        path = self.path_for(scenario)
-        key = path.stem
+        key = scenario.content_hash()
         tele = _telemetry.sink()
         memo = self._memo
         data = memo.get(key)
@@ -247,8 +265,11 @@ class ResultCache:
             if tele is not None:
                 tele.emit("cache.hit", key=key[:12], memo=True)
             return result_from_dict(data)
+        path = self._address(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                raw = handle.read()
+            payload = json.loads(raw)
             if payload["schema"] != CACHE_SCHEMA:
                 raise ValueError(f"schema {payload['schema']} != {CACHE_SCHEMA}")
             if payload["key"] != key:
@@ -266,12 +287,12 @@ class ResultCache:
             # read-only cache the entry stays, but it is still a miss,
             # never a crash).
             try:
-                path.unlink(missing_ok=True)
+                os.unlink(path)
             except OSError:
                 pass
             self.misses += 1
             if tele is not None:
-                tele.emit("cache.miss", key=path.stem[:12], corrupt=True)
+                tele.emit("cache.miss", key=key[:12], corrupt=True)
             return None
         self._memoize(key, payload["result"])
         self.hits += 1
@@ -288,29 +309,30 @@ class ResultCache:
         memo = self._memo
         memo.pop(key, None)
         memo[key] = data
-        if len(memo) > _MEMO_CAPACITY:
+        # Trim the oldest entries in a loop, not once: a trim that loses
+        # a race to another thread stops, and the next insert finishes
+        # it, so the memo never stays past its bound.
+        while len(memo) > _MEMO_CAPACITY:
             try:
                 memo.pop(next(iter(memo)))
             except (KeyError, StopIteration, RuntimeError):
-                # A concurrent thread evicted first; capacity is a soft
-                # bound, losing one eviction race is harmless.
-                pass
+                break
 
     # -- store -------------------------------------------------------------------
 
     def put(self, scenario: Scenario, result: SimResult) -> Path:
         """Store ``result`` under ``scenario``'s content address (atomic)."""
-        path = self.path_for(scenario)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        key = scenario.content_hash()
+        path = self._address(key)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
-            "key": path.stem,
+            "key": key,
             "spec": scenario.canonical_dict(),
             "result": result_to_dict(result),
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
+        fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
         try:
             with os.fdopen(fd, "w") as handle:
                 # dumps, not dump: only the one-shot encoder is the C one,
@@ -327,7 +349,7 @@ class ResultCache:
         # from disk (validating what was actually persisted — the
         # corruption-recovery tests rely on disk staying authoritative);
         # it populates the memo for every lookup after.
-        return path
+        return Path(path)
 
     # -- maintenance -------------------------------------------------------------
 

@@ -58,6 +58,13 @@ SPEC_SCHEMA = 1
 #: fixed emission order of the scenario-level override keys
 _SCENARIO_KEYS = ("seed", "start", "queries", "spacing", "pes", "times")
 
+#: The config of every scenario that names none: the field's default,
+#: and what :meth:`Scenario.from_spec` parses a spec without ``cfg.`` /
+#: ``cost.`` overrides onto.  Frozen, so sharing it is safe, and its
+#: memoized serialization (:meth:`SimConfig.serialized`) is then built
+#: once per process instead of once per scenario.
+_DEFAULT_CONFIG = SimConfig()
+
 
 def _split_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(";") if v != "")
@@ -81,7 +88,7 @@ class Scenario:
     workload: "Program | str"
     topology: "Topology | str"
     strategy: "Strategy | str"
-    config: SimConfig = field(default_factory=SimConfig)
+    config: SimConfig = _DEFAULT_CONFIG
     seed: int | None = None
     start_pe: int = 0
     arrivals: Arrivals = field(default_factory=Arrivals)
@@ -156,12 +163,8 @@ class Scenario:
 
     # -- spelling ----------------------------------------------------------------
 
-    def spelled(self) -> "Scenario":
-        """This scenario with all three parts as factory spec strings.
-
-        Objects are spelled by the registries' ``spec_of``; objects the
-        grammar cannot express raise :class:`ValueError`.
-        """
+    def _spellings(self) -> tuple[str, str, str]:
+        """The three parts as spec strings, objects spelled by ``spec_of``."""
         workload, topology, strategy = self.workload, self.topology, self.strategy
         if not isinstance(workload, str):
             from ..workload import spec_of as workload_spec
@@ -175,11 +178,50 @@ class Scenario:
             from ..core import spec_of as strategy_spec
 
             strategy = strategy_spec(strategy)
-        if (workload, topology, strategy) == (self.workload, self.topology, self.strategy):
+        return workload, topology, strategy
+
+    def spelled(self) -> "Scenario":
+        """This scenario with all three parts as factory spec strings.
+
+        Objects are spelled by the registries' ``spec_of``; objects the
+        grammar cannot express raise :class:`ValueError`.
+        """
+        parts = self._spellings()
+        if parts == (self.workload, self.topology, self.strategy):
             return self
+        workload, topology, strategy = parts
         return replace(self, workload=workload, topology=topology, strategy=strategy)
 
     # -- canonical form and hashing ----------------------------------------------
+
+    def _canonical_parts(self) -> tuple[str, str, str, Arrivals]:
+        """The canonical form's parts, shared by :meth:`canonical` and
+        :meth:`canonical_dict`: the three canonical spec strings and the
+        canonical arrival block.
+
+        Raises :class:`ValueError` for an unknown name, a malformed
+        spec, or a ``start_pe`` / ``Arrivals.pes`` outside the topology.
+        The spellings come from the registries' memos
+        (:meth:`~repro.scenario.Registry.canonical`), which keep the
+        topology's PE count and family too, so once a process has seen
+        the spellings this builds no topology, strategy or workload.
+        """
+        from ..core import STRATEGIES
+        from ..topology import TOPOLOGIES
+        from ..workload import WORKLOADS
+
+        workload, topology, strategy = self._spellings()
+        canonical_topology = TOPOLOGIES.canonical(topology)
+        n, family = canonical_topology.facts
+        if not 0 <= self.start_pe < n:
+            raise ValueError(f"start_pe {self.start_pe} outside 0..{n - 1}")
+        self.arrivals.check_pes(n)
+        return (
+            WORKLOADS.canonical(workload).spec,
+            canonical_topology.spec,
+            STRATEGIES.canonical(strategy, family=family).spec,
+            self.arrivals.canonical(),
+        )
 
     def canonical(self) -> "Scenario":
         """The unique representative of this scenario's equivalence class.
@@ -191,39 +233,37 @@ class Scenario:
         arrival block is canonicalized.  Injection PEs outside the
         topology raise :class:`ValueError` here, before any run starts.
 
-        The spellings come from the registries' memos
-        (:meth:`~repro.scenario.Registry.canonical`), which keep the
-        topology's PE count and family too: once a process has seen a
-        spelling, canonicalizing another scenario with it builds no
-        topology, strategy or workload object.
+        This is the object form, which :attr:`spec` spells; it shares
+        its parts with :meth:`canonical_dict`, the hashed form, and
+        ``canonical().canonical_dict() == canonical_dict()``.  Unlike
+        the hashed form it builds a :class:`Scenario` and, for a seed
+        override, a :class:`SimConfig` (:attr:`effective_config`).
         """
-        from ..core import STRATEGIES
-        from ..topology import TOPOLOGIES
-        from ..workload import WORKLOADS
-
-        spelled = self.spelled()
-        topology = TOPOLOGIES.canonical(spelled.topology)
-        n, family = topology.facts
-        if not 0 <= self.start_pe < n:
-            raise ValueError(f"start_pe {self.start_pe} outside 0..{n - 1}")
-        self.arrivals.check_pes(n)
+        workload, topology, strategy, arrivals = self._canonical_parts()
         return replace(
-            spelled,
-            workload=WORKLOADS.canonical(spelled.workload).spec,
-            topology=topology.spec,
-            strategy=STRATEGIES.canonical(spelled.strategy, family=family).spec,
+            self,
+            workload=workload,
+            topology=topology,
+            strategy=strategy,
             config=self.effective_config,
             seed=None,
-            arrivals=self.arrivals.canonical(),
+            arrivals=arrivals,
         )
 
     def canonical_dict(self) -> dict[str, Any]:
         """Canonical JSON-able form — the preimage of :meth:`content_hash`.
 
+        Assembled from the parts :meth:`canonical` uses, plus the
+        config's memoized serialization (:meth:`SimConfig.serialized`)
+        with the ``seed`` override folded in — the dict form of
+        :attr:`effective_config`.  Once the registries' memos hold this
+        scenario's spellings, building it constructs no
+        :class:`Scenario` and no :class:`SimConfig`.
+
         The result is memoized on the instance — the cache consults it
         several times per run, and the fields it derives from are
-        frozen.  A fresh instance re-reads its parts' spellings from the
-        registries' memos (see :meth:`canonical`).
+        frozen — and shares its ``config`` entry with the config's
+        memo, so treat it as read only.
 
         The layout is byte-compatible with the farm's pre-Scenario
         canonical form: default arrivals are omitted entirely, so every
@@ -232,27 +272,37 @@ class Scenario:
         """
         cached = self.__dict__.get("_canonical_dict")
         if cached is None:
-            spec = self.canonical()
+            workload, topology, strategy, arrivals = self._canonical_parts()
+            config = self.config.serialized()
+            if self.seed is not None:
+                config = {**config, "seed": self.seed}
             cached = {
                 "schema": SPEC_SCHEMA,
-                "workload": spec.workload,
-                "topology": spec.topology,
-                "strategy": spec.strategy,
-                "config": spec.config.to_dict(),
-                "start_pe": spec.start_pe,
+                "workload": workload,
+                "topology": topology,
+                "strategy": strategy,
+                "config": config,
+                "start_pe": self.start_pe,
             }
-            if not spec.arrivals.is_default:
-                cached["arrivals"] = spec.arrivals.to_dict()
+            if not arrivals.is_default:
+                cached["arrivals"] = arrivals.to_dict()
             object.__setattr__(self, "_canonical_dict", cached)
         return cached
 
     def content_hash(self) -> str:
         """Content-address: SHA-256 of the canonical form (memoized).
 
-        Stable across processes and sessions (no hash randomization is
-        involved), and identical for every spelling of the same run —
-        this is the key the farm's :class:`~repro.parallel.cache.ResultCache`
-        stores results under.
+        The digest of :meth:`canonical_dict` as compact JSON with sorted
+        keys.  Stable across processes and sessions (no hash
+        randomization is involved), and identical for every spelling of
+        the same run — this is the key the farm's
+        :class:`~repro.parallel.cache.ResultCache` stores results under.
+        Once the registries' memos hold a fresh scenario's spellings,
+        its hash constructs no topology, strategy, workload,
+        :class:`Scenario` or :class:`SimConfig`: it costs the memo
+        lookups, one ``json.dumps`` and one SHA-256.  It raises the same
+        :class:`ValueError` as :meth:`canonical` for an unknown name, a
+        malformed spec or a PE outside the topology.
         """
         cached = self.__dict__.get("_content_hash")
         if cached is None:
@@ -306,6 +356,12 @@ class Scenario:
         The three parts are kept as-spelled (canonicalization is a
         separate, explicit step), so ``from_spec`` is cheap and the
         original spelling survives round trips through :meth:`to_dict`.
+        A spec without ``cfg.`` / ``cost.`` overrides gets the one
+        shared default :class:`SimConfig`, so the scenarios parsed in a
+        process share its memoized serialization, and hashing them
+        builds no config.  Malformed specs, unknown override keys and
+        non-finite numbers raise :class:`ValueError` here; unknown
+        names and out-of-range PEs raise it at hash time.
         """
         main, _, query = text.partition("?")
         left, slash, strategy = main.rpartition("/")
@@ -361,7 +417,7 @@ class Scenario:
                     if close:
                         msg += f" — did you mean {close[0]!r}?"
                     raise ValueError(msg)
-        config = SimConfig().with_spec_overrides(cfg_overrides)
+        config = _DEFAULT_CONFIG.with_spec_overrides(cfg_overrides)
         # A seed spelled as cfg.seed= is promoted to the scenario-level
         # seed (the fold in effective_config is a no-op on the same
         # value), so consumers that test `scenario.seed is None` — the

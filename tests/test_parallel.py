@@ -169,7 +169,8 @@ class TestResultCache:
     def test_unusable_root_is_a_plain_miss(self, tmp_path, monkeypatch):
         # A cache root beneath a regular file cannot be read: every lookup
         # is a miss with a cache.error, never a "corrupt" entry to unlink.
-        from pathlib import Path
+        # get() deletes through os.unlink (as Path.unlink does too).
+        import os
 
         from repro.obs import telemetry
 
@@ -178,7 +179,7 @@ class TestResultCache:
         cache = ResultCache(blocker / "cache")
         spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
         unlinked = []
-        monkeypatch.setattr(Path, "unlink", lambda path, missing_ok=False: unlinked.append(path))
+        monkeypatch.setattr(os, "unlink", lambda path, *args, **kwargs: unlinked.append(path))
         stream = tmp_path / "stream.jsonl"
         with telemetry.capture(stream):
             assert cache.get(spec) is None
@@ -193,14 +194,83 @@ class TestResultCache:
         assert cache.misses == 2 and unlinked == []
 
     def test_wrong_schema_or_key_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        # Each defect makes a corrupt entry: a miss that deletes it, and
+        # the next put heals the address.
+        from repro.obs import telemetry
+
         spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
-        cache.put(spec, spec.run())
-        path = cache.path_for(spec)
-        payload = json.loads(path.read_text())
-        payload["schema"] = 999
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None
+        result = spec.run()
+        defects = {
+            "schema": lambda payload: payload.update(schema=999),
+            "key": lambda payload: payload.update(key="0" * 64),
+            "result-field": lambda payload: payload["result"].pop("completion_time"),
+        }
+        for name, defect in defects.items():
+            cache = ResultCache(tmp_path / name)
+            path = cache.put(spec, result)
+            payload = json.loads(path.read_text())
+            defect(payload)
+            path.write_text(json.dumps(payload))
+            stream = tmp_path / f"{name}.jsonl"
+            with telemetry.capture(stream):
+                assert cache.get(spec) is None, name
+            misses = [e for e in telemetry.read_events(stream) if e["ev"] == "cache.miss"]
+            assert [e.get("corrupt") for e in misses] == [True], name
+            assert cache.misses == 1 and not path.exists(), name
+            cache.put(spec, result)
+            assert_results_equal(cache.get(spec), result)
+
+    def test_str_and_relative_roots_address_the_same_entries(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        other = Scenario("fib:9", "grid:5x5", "cwn", seed=2)
+        result = spec.run()
+        relative = ResultCache("cache")  # resolved at each use, not here
+        monkeypatch.chdir(tmp_path)
+        as_path = ResultCache(tmp_path / "cache")
+        as_str = ResultCache(str(tmp_path / "cache"))
+        written = relative.put(spec, result)
+        assert isinstance(written, Path) and isinstance(as_str.path_for(spec), Path)
+        assert tmp_path / written == as_path.path_for(spec) == as_str.path_for(spec)
+        for cache in (as_path, as_str, relative):
+            assert_results_equal(cache.get(spec), result)
+        as_str.put(other, other.run())
+        assert relative.get(other) is not None and as_path.get(other) is not None
+        assert as_path.stats().entries == 2
+
+    def test_memo_stays_at_its_bound_under_concurrent_inserts(self, tmp_path, wall_clock_guard):
+        # More threads than cores, switching every microsecond, each
+        # inserting its own keys.  A trim that loses a race stops early,
+        # so the memo may end up to one entry per thread off its bound,
+        # and the next insert trims it back.
+        import sys
+        import threading
+
+        from repro.parallel.cache import _MEMO_CAPACITY
+
+        wall_clock_guard(60)
+        cache = ResultCache(tmp_path)
+        threads, per_thread = 4, 8000
+
+        def fill(tid: int) -> None:
+            for i in range(per_thread):
+                cache._memoize(f"{tid}-{i}", {})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fill, args=(t,)) for t in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert abs(len(cache._memo) - _MEMO_CAPACITY) <= threads
+        cache._memoize("one-more", {})
+        assert _MEMO_CAPACITY - threads <= len(cache._memo) <= _MEMO_CAPACITY
 
     def test_memo_serves_repeat_gets_without_disk(self, tmp_path):
         cache = ResultCache(tmp_path)

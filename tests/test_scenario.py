@@ -158,6 +158,62 @@ class TestHashStability:
             assert Scenario(**kwargs).content_hash() == expected
         assert built == {registry: [] for registry in built}
 
+    def test_warm_hash_builds_no_scenario_or_config(self, monkeypatch):
+        # On a warm memo the hashed form is assembled from the registries'
+        # spellings and the config's memoized serialization: a fresh
+        # scenario's hash constructs neither a Scenario nor a SimConfig.
+        for kwargs, _ in GOLDEN_KEYS:
+            Scenario(**kwargs).content_hash()
+        fresh = [Scenario(**kwargs) for kwargs, _ in GOLDEN_KEYS]
+        built: list[str] = []
+        for cls in (Scenario, SimConfig):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert [sc.content_hash() for sc in fresh] == [key for _, key in GOLDEN_KEYS]
+        assert built == []
+        # The object form folds the seed into a new config: the counter is live.
+        fresh[1].canonical()
+        assert sorted(built) == ["Scenario", "SimConfig"]
+
+    def test_object_form_serializes_to_the_hashed_form(self):
+        # canonical() (the Scenario that `spec` spells) carries a SimConfig
+        # where canonical_dict() carries its serialization; both come from
+        # one set of parts and must agree exactly.
+        scenarios = [Scenario(**kwargs) for kwargs, _ in GOLDEN_KEYS]
+        scenarios += [Scenario.from_spec(spec) for spec in sorted(REGISTRY_KEYS)]
+        for sc in scenarios:
+            assert sc.canonical().canonical_dict() == sc.canonical_dict(), sc
+            assert Scenario.from_spec(sc.spec).content_hash() == sc.content_hash(), sc
+
+    def test_mutating_a_config_dict_changes_no_later_key(self):
+        spec = "fib:9 @ grid:4x4 / cwn?seed=1"
+        sc = Scenario.from_spec(spec)
+        assert sc.content_hash() == REGISTRY_KEYS[spec]
+        for config in (sc.config, SimConfig()):
+            data = config.to_dict()
+            data["seed"] = 99
+            data["costs"]["leaf_work"] = 1.0
+        assert Scenario.from_spec(spec).content_hash() == REGISTRY_KEYS[spec]
+        unseeded = Scenario.from_spec("fib:9 @ grid:4x4 / cwn")
+        own_config = Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig())
+        assert unseeded.content_hash() == own_config.content_hash()
+
+    def test_every_seed_spelling_hashes_alike(self):
+        base = "fib:9 @ grid:4x4 / cwn"
+        threes = [
+            Scenario.from_spec(f"{base}?seed=3"),
+            Scenario.from_spec(f"{base}?cfg.seed=3"),
+            Scenario("fib:9", "grid:4x4", "cwn", seed=3),
+            Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(seed=3)),
+            # the scenario-level seed overrides the config's
+            Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(seed=4), seed=3),
+        ]
+        assert len({sc.content_hash() for sc in threes}) == 1
+        assert Scenario.from_spec(f"{base}?seed=4").content_hash() != threes[0].content_hash()
+
     def test_golden_registry_keys_cover_every_kind(self):
         assert set(REGISTRY_KEYS) == registry_key_specs()
 
