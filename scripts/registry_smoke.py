@@ -13,7 +13,10 @@ can touch:
 2. ``repro run "fib:10 @ grid:4x4 / cwn"`` exits 0;
 3. every spec of ``perfbench/inputs.py``'s ``all_specs()`` hashes to
    the stored digest of its 6,484 keys, once through emptied registry
-   memos and once more, warm, through fresh ``Scenario`` objects.
+   memos and once more, warm, through fresh ``Scenario`` objects; on
+   both passes each spec's hashed text (``Scenario.canonical_json``,
+   spliced from memoized parts) must equal ``json.dumps`` of its
+   ``canonical_dict()`` with sorted keys and compact separators.
 
 Run me as ``PYTHONPATH=src python scripts/registry_smoke.py``.
 """
@@ -21,6 +24,7 @@ Run me as ``PYTHONPATH=src python scripts/registry_smoke.py``.
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -98,13 +102,20 @@ def main() -> int:
     return check_perfbench_keys()
 
 
-def keys_digest(specs: list[str]) -> str:
+def keys_digest(specs: list[str]) -> tuple[str, list[str]]:
+    """The digest of the specs' keys, and the specs whose hashed text is
+    not their canonical dict through ``json.dumps``."""
     from repro.scenario import Scenario
 
     digest = hashlib.sha256()
+    drifted = []
     for spec in specs:
-        digest.update(Scenario.from_spec(spec).content_hash().encode())
-    return digest.hexdigest()[:16]
+        scenario = Scenario.from_spec(spec)
+        digest.update(scenario.content_hash().encode())
+        dumped = json.dumps(scenario.canonical_dict(), sort_keys=True, separators=(",", ":"))
+        if scenario.canonical_json() != dumped:
+            drifted.append(spec)
+    return digest.hexdigest()[:16], drifted
 
 
 def check_perfbench_keys() -> int:
@@ -124,12 +135,18 @@ def check_perfbench_keys() -> int:
     for registry in (STRATEGIES, TOPOLOGIES, WORKLOADS):
         registry._canonical = {}
     for memo in ("cold", "warm"):
-        found = keys_digest(specs)
+        found, drifted = keys_digest(specs)
         if found != PERFBENCH_KEYS_DIGEST:
             print(f"FAIL: the {len(specs)} perfbench keys hash to {found} through a "
                   f"{memo} memo, not {PERFBENCH_KEYS_DIGEST}", file=sys.stderr)
             return 1
-    print(f"ok: {len(specs)} perfbench keys digest to {PERFBENCH_KEYS_DIGEST}, cold and warm")
+        if drifted:
+            print(f"FAIL: {len(drifted)} perfbench specs hash text that is not their "
+                  f"dumped canonical dict through a {memo} memo, e.g. {drifted[0]!r}",
+                  file=sys.stderr)
+            return 1
+    print(f"ok: {len(specs)} perfbench keys digest to {PERFBENCH_KEYS_DIGEST}, and each "
+          f"hashed text is its dumped canonical dict, cold and warm")
     return 0
 
 

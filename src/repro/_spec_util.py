@@ -6,14 +6,16 @@ once:
 
 * a parameter the grammar has no syntax for (``require_defaults``);
 * a float that would lose precision in its printed form (``fmt_num``);
-* the shared ``key=value,key=value`` parameter form (``parse_kv``).
+* the shared ``key=value,key=value`` parameter form (``parse_kv``);
+* the JSON spelling of a content key's preimage (``canonical_json``).
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, TypeVar
 
-__all__ = ["fmt_num", "parse_kv", "require_defaults"]
+__all__ = ["canonical_json", "fmt_num", "parse_kv", "require_defaults"]
 
 T = TypeVar("T")
 
@@ -57,3 +59,26 @@ def require_defaults(obj: object, **attrs: object) -> None:
                 f"{type(obj).__name__}.{attr}={getattr(obj, attr)!r} has no "
                 f"spec-string syntax (only the default {default!r} round-trips)"
             )
+
+
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` as one
+#: shared encoder: ``json.dumps`` builds a new one per call, and
+#: ``encode`` keeps no state between calls.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def canonical_json(value: object) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``.
+
+    The spelling every content hash digests.  An exact ``str`` or
+    ``int`` (a spec string, a PE, a seed) skips the encoder; every other
+    value, ``bool`` and numpy scalars included, goes through it, so this
+    spells and raises exactly as ``json.dumps`` does.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    return _CANONICAL_ENCODER.encode(value)

@@ -819,6 +819,8 @@ def _cmd_cache(args: argparse.Namespace) -> None:
                         "schema": stats.schema,
                         "entries": stats.entries,
                         "total_bytes": stats.total_bytes,
+                        "other_entries": stats.other_entries,
+                        "other_bytes": stats.other_bytes,
                     },
                     indent=2,
                 )
@@ -828,6 +830,12 @@ def _cmd_cache(args: argparse.Namespace) -> None:
         print(f"schema       : v{stats.schema}")
         print(f"entries      : {stats.entries}")
         print(f"size on disk : {stats.total_bytes / 1024:.1f} KiB")
+        if stats.other_entries:
+            print(
+                f"other schemas: {stats.other_entries} entries, "
+                f"{stats.other_bytes / 1024:.1f} KiB (never read; `repro cache clear` "
+                f"removes them)"
+            )
     else:
         removed = cache.clear()
         print(f"removed {removed} cached result(s) from {cache.root}")

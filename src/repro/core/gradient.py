@@ -40,6 +40,16 @@ from .base import Strategy, argmin_load
 __all__ = ["GradientModel"]
 
 
+def _water_mark(value: float) -> float:
+    """A water mark as paper Table 1 holds it: an ``int`` when integral.
+
+    Bare ``gm`` takes Table 1's ints, ``gm:lwm=1,hwm=2`` parses floats,
+    and the constructor's defaults are floats; all of them spell one
+    cache key, so all must record the same ``params``.
+    """
+    return int(value) if float(value).is_integer() else float(value)
+
+
 class GradientModel(Strategy):
     """Lin & Keller's Gradient Model.
 
@@ -82,9 +92,9 @@ class GradientModel(Strategy):
             raise ValueError("interval must be positive")
         if ship not in ("newest", "oldest"):
             raise ValueError(f"unknown ship policy {ship!r}")
-        self.low_water_mark = low_water_mark
-        self.high_water_mark = high_water_mark
-        self.interval = interval
+        self.low_water_mark = _water_mark(low_water_mark)
+        self.high_water_mark = _water_mark(high_water_mark)
+        self.interval = float(interval)
         self.ship = ship
         self.stagger = stagger
         self.tie_break = tie_break

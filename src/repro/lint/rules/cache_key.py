@@ -1,7 +1,8 @@
 """cache-key-drift — every scenario field reaches the content hash.
 
 The result cache, the farm dedup, and the sharded-equality harness all
-key on ``Scenario.content_hash()`` — SHA-256 over ``canonical_dict()``.
+key on ``Scenario.content_hash()`` — SHA-256 over ``canonical_dict()``
+as JSON text.
 A field added to :class:`~repro.scenario.Scenario` (or to the nested
 :class:`Arrivals` / :class:`SimConfig` records) that never reaches the
 canonical form is the worst kind of bug: two *different* scenarios
@@ -14,6 +15,10 @@ Statically checkable because the serializers are literal-keyed:
 * every ``Scenario`` field's name appears as a string constant inside
   ``canonical_dict`` (``seed`` instead must be folded by
   ``canonical()`` — it is hashed via the effective config);
+* where ``Scenario`` has a ``canonical_json`` — the text the hash
+  digests, spliced from literal pieces instead of dumped from the dict
+  — every field but ``seed`` appears there as a JSON key (``"name":``
+  inside a string constant), so the two forms cannot drift apart;
 * every ``Arrivals`` field appears in its ``to_dict``;
 * every ``SimConfig`` field has a ``_CFG_COERCE`` coercer or explicit
   special-case handling (its name as a string constant) in the config
@@ -24,7 +29,8 @@ Statically checkable because the serializers are literal-keyed:
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+import re
+from typing import Callable, Iterable
 
 from ..findings import Finding
 from . import RULES, Rule
@@ -59,6 +65,11 @@ def _string_constants(node: ast.AST) -> set[str]:
     }
 
 
+def _json_keys(node: ast.AST) -> set[str]:
+    """The keys a JSON text builder writes: each ``"name":`` in its constants."""
+    return {key for text in _string_constants(node) for key in re.findall(r'"(\w+)":', text)}
+
+
 def _class_in(index, ctx, name: str) -> ast.ClassDef | None:
     for info in index.classes.get(name, ()):
         if info.rel == ctx.rel:
@@ -74,7 +85,12 @@ class CacheKeyDrift(Rule):
     )
 
     def _check_serialized(
-        self, ctx, cls: ast.ClassDef, method_name: str, exempt: set[str]
+        self,
+        ctx,
+        cls: ast.ClassDef,
+        method_name: str,
+        exempt: set[str],
+        emits: Callable[[ast.AST], set[str]] = _string_constants,
     ) -> Iterable[Finding]:
         method = _method(cls, method_name)
         if method is None:
@@ -86,7 +102,7 @@ class CacheKeyDrift(Rule):
                 f"content hash",
             )
             return
-        emitted = _string_constants(method)
+        emitted = emits(method)
         for name, lineno in _class_fields(cls):
             if name in exempt or name in emitted:
                 continue
@@ -113,6 +129,19 @@ class CacheKeyDrift(Rule):
                         scenario_ctx, cls, "canonical_dict", exempt={"seed"}
                     )
                 )
+                # The hashed text, where it is spliced rather than dumped
+                # from canonical_dict; the seed is spliced into the
+                # config's text.
+                if _method(cls, "canonical_json") is not None:
+                    out.extend(
+                        self._check_serialized(
+                            scenario_ctx,
+                            cls,
+                            "canonical_json",
+                            exempt={"seed"},
+                            emits=_json_keys,
+                        )
+                    )
                 canonical = _method(cls, "canonical")
                 folds_seed = canonical is not None and any(
                     isinstance(sub, ast.keyword) and sub.arg == "seed"

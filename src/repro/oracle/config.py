@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Mapping
 
+from .._spec_util import canonical_json, fmt_num
+
 __all__ = ["CostModel", "SimConfig"]
 
 
@@ -46,8 +48,6 @@ def _spell_value(value: object) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        from .._spec_util import fmt_num
-
         return fmt_num(value)
     return str(value)
 
@@ -300,6 +300,29 @@ class SimConfig:
             cached = self.to_dict()
             object.__setattr__(self, "_serialized", cached)
         return cached
+
+    def serialized_json(self, seed: object = None) -> str:
+        """:meth:`serialized` as compact sorted-key JSON, ``seed`` spliced in.
+
+        Byte for byte ``json.dumps({**serialized(), "seed": seed},
+        sort_keys=True, separators=(",", ":"))``, with ``seed=None``
+        meaning the config's own seed: the text
+        :meth:`~repro.scenario.Scenario.content_hash` digests, where a
+        scenario's seed override stands in for the config's.  The text
+        either side of the seed is built once per instance and kept as
+        private state, like :meth:`serialized`; each call splices one
+        seed between the two halves.
+        """
+        halves = self.__dict__.get("_serialized_json")
+        if halves is None:
+            data = self.serialized()
+            # Sorted keys put the seed between two runs of fields, and
+            # SimConfig has fields on both sides ("costs" ... "trace_hops").
+            before = canonical_json({k: v for k, v in data.items() if k < "seed"})
+            after = canonical_json({k: v for k, v in data.items() if k > "seed"})
+            halves = (before[:-1] + ',"seed":', "," + after[1:])
+            object.__setattr__(self, "_serialized_json", halves)
+        return halves[0] + canonical_json(self.seed if seed is None else seed) + halves[1]
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SimConfig":

@@ -8,6 +8,16 @@ is :meth:`Scenario.content_hash` (a SHA-256 over the canonical form) and
 ``kk`` its first two hex digits (a fan-out shard so directories stay
 small).
 
+An entry is three lines, laid out for the hit:
+
+1. the header ``{"schema":4,"key":"<key>"}``, which a lookup checks by
+   comparing bytes;
+2. the result, spelled as :func:`result_json` spells it, the only line
+   a lookup parses;
+3. the hashed text (:meth:`Scenario.canonical_json`), with no newline
+   after it, so the SHA-256 of everything after the second newline is
+   the key and the file's stem.
+
 Design points:
 
 * **atomic writes** — entries are written to a temp file in the final
@@ -15,10 +25,10 @@ Design points:
   writer can never leave a half-written entry visible;
 * **corruption recovery** — an unreadable, truncated, or mismatching
   entry is treated as a miss and deleted, never propagated;
-* **schema versioning** — both the directory layout and each payload
+* **schema versioning** — both the directory layout and each header
   carry a schema tag; bumping :data:`CACHE_SCHEMA` (or the scenario's
   ``SPEC_SCHEMA``, which feeds the hash) orphans stale results instead
-  of serving them;
+  of serving them, and ``repro cache stats``/``clear`` still see them;
 * **relocatable** — the root defaults to ``~/.cache/repro-kale88`` and
   honours the ``REPRO_CACHE_DIR`` environment variable.
 """
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +45,7 @@ from typing import Any
 
 import numpy as np
 
+from .._spec_util import canonical_json
 from ..obs import telemetry as _telemetry
 from ..oracle.stats import SimResult, UtilizationSample
 from ..scenario.scenario import Scenario
@@ -55,8 +67,14 @@ __all__ = [
 #: v3: the event calendar moved to per-site sequence keys and randomized
 #: strategies to per-PE RNG streams (the sharding groundwork), changing
 #: simultaneous-event tie-breaks — v2 entries record runs the current
-#: kernel can no longer reproduce.
-CACHE_SCHEMA = 3
+#: kernel can no longer reproduce.  v4: the three-line entry (header,
+#: result, hashed text) that a hit reads without parsing the spec, and
+#: one stored form per key for GM's spellings — their water marks are
+#: ints when integral, where v3 entries hold either ``1`` or ``1.0``.
+CACHE_SCHEMA = 4
+
+#: a schema's directory under the root, this one's or an orphaned one's
+_SCHEMA_DIR = re.compile(r"v[0-9]+")
 
 #: In-process memo capacity (entries), measured in parsed payload dicts.
 #: 256 SimResult payloads of typical Table-2 size are a few MB — small
@@ -129,7 +147,7 @@ def result_json(result: SimResult) -> str:
     protocol, so a service response can be diffed byte-for-byte against
     a direct in-process run of the same scenario.
     """
-    return json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":"))
+    return canonical_json(result_to_dict(result))
 
 
 def result_from_dict(data: dict[str, Any]) -> SimResult:
@@ -175,7 +193,12 @@ def result_from_dict(data: dict[str, Any]) -> SimResult:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Snapshot of a cache directory plus this instance's hit counters."""
+    """Snapshot of a cache directory plus this instance's hit counters.
+
+    ``other_entries`` / ``other_bytes`` count what other schemas'
+    ``v<n>/`` directories still hold: no lookup reads it, and
+    :meth:`ResultCache.clear` removes it.
+    """
 
     root: Path
     schema: int
@@ -183,13 +206,21 @@ class CacheStats:
     total_bytes: int
     hits: int
     misses: int
+    other_entries: int = 0
+    other_bytes: int = 0
 
     def __str__(self) -> str:
-        return (
+        text = (
             f"cache at {self.root} (schema v{self.schema}): "
             f"{self.entries} entries, {self.total_bytes / 1024:.1f} KiB on disk; "
             f"this session: {self.hits} hits, {self.misses} misses"
         )
+        if self.other_entries:
+            text += (
+                f"; other schemas: {self.other_entries} entries, "
+                f"{self.other_bytes / 1024:.1f} KiB"
+            )
+        return text
 
 
 class ResultCache:
@@ -204,17 +235,13 @@ class ResultCache:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
-        #: in-process LRU memo: key -> parsed payload["result"] dict.  A
-        #: warm ``run_batch`` re-reads the same entries every call; the
-        #: memo skips the disk read *and* the JSON parse, leaving only
-        #: the (cheap) SimResult revival.  Deliberately per-instance:
+        #: in-process LRU memo: key -> parsed result dict.  A warm
+        #: ``run_batch`` re-reads the same entries every call; the memo
+        #: skips the disk read *and* the JSON parse, leaving only the
+        #: (cheap) SimResult revival.  Deliberately per-instance:
         #: sharing across caches rooted differently would serve results
         #: across isolation boundaries the roots exist to draw.
         self._memo: dict[str, dict[str, Any]] = {}
-
-    @property
-    def _version_dir(self) -> Path:
-        return self.root / f"v{CACHE_SCHEMA}"
 
     def _address(self, key: str) -> str:
         """The entry path for ``key``, as the string the file calls take.
@@ -241,16 +268,19 @@ class ResultCache:
         """The stored result, or ``None`` on miss.
 
         A hit costs one key (:meth:`Scenario.content_hash`), one string
-        address, one read of the entry's bytes, one ``json.loads`` and
-        one :func:`result_from_dict`; the in-process memo skips the read
-        and the parse for an entry this instance has read before.
+        address, one read of the entry's bytes, one comparison of its
+        header, one ``json.loads`` of its result line and one
+        :func:`result_from_dict`; the hashed text after the result is
+        never parsed.  The in-process memo skips the read and the parse
+        for an entry this instance has read before.
 
-        Any defect in the stored entry — unparsable JSON, wrong schema,
-        key mismatch, missing fields — deletes the entry and reports a
-        miss; the cache never propagates corruption.  A read that fails
-        for any other reason (an unusable cache root, an unreadable
-        entry) is a plain miss with a ``cache.error`` event: nothing is
-        known to be corrupt, so nothing is deleted.
+        Any defect in the stored entry — a header of another schema or
+        key, a result line that is missing, truncated or unparsable, a
+        result missing a field — deletes the entry and reports a miss;
+        the cache never propagates corruption.  A read that fails for
+        any other reason (an unusable cache root, an unreadable entry)
+        is a plain miss with a ``cache.error`` event: nothing is known
+        to be corrupt, so nothing is deleted.
         """
         key = scenario.content_hash()
         tele = _telemetry.sink()
@@ -266,15 +296,15 @@ class ResultCache:
                 tele.emit("cache.hit", key=key[:12], memo=True)
             return result_from_dict(data)
         path = self._address(key)
+        header = _header(key)
         try:
             with open(path, "rb") as handle:
                 raw = handle.read()
-            payload = json.loads(raw)
-            if payload["schema"] != CACHE_SCHEMA:
-                raise ValueError(f"schema {payload['schema']} != {CACHE_SCHEMA}")
-            if payload["key"] != key:
-                raise ValueError("stored key does not match its address")
-            result = result_from_dict(payload["result"])
+            if not raw.startswith(header):
+                raise ValueError("header does not match this schema and key")
+            # index() raises where no newline ends the result line: a cut entry.
+            data = json.loads(raw[len(header):raw.index(b"\n", len(header))])
+            result = result_from_dict(data)
         except OSError as exc:
             self.misses += 1
             if tele is not None:
@@ -294,14 +324,14 @@ class ResultCache:
             if tele is not None:
                 tele.emit("cache.miss", key=key[:12], corrupt=True)
             return None
-        self._memoize(key, payload["result"])
+        self._memoize(key, data)
         self.hits += 1
         if tele is not None:
             tele.emit("cache.hit", key=key[:12])
         return result
 
     def _memoize(self, key: str, data: dict[str, Any]) -> None:
-        # The memo shares the payload dict across get() calls; revival
+        # The memo shares the result dict across get() calls; revival
         # copies every numeric field into fresh arrays/dicts, but list
         # fields stored as-is (params, result_value, query_completions)
         # are shared — SimResults are read-only by convention and nothing
@@ -320,24 +350,27 @@ class ResultCache:
 
     # -- store -------------------------------------------------------------------
 
-    def put(self, scenario: Scenario, result: SimResult) -> Path:
-        """Store ``result`` under ``scenario``'s content address (atomic)."""
+    def put(self, scenario: Scenario, result: SimResult | dict[str, Any]) -> Path:
+        """Store ``result`` under ``scenario``'s content address (atomic).
+
+        ``result`` is a :class:`SimResult` or its :func:`result_to_dict`
+        form, as a fleet worker sends it home; both write the same bytes,
+        so a served miss stores its worker's payload without reviving it.
+        """
         key = scenario.content_hash()
         path = self._address(key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "spec": scenario.canonical_dict(),
-            "result": result_to_dict(result),
-        }
+        data = result if isinstance(result, dict) else result_to_dict(result)
+        entry = b"%s%s\n%s" % (
+            _header(key),
+            canonical_json(data).encode("utf-8"),
+            scenario.canonical_json().encode("utf-8"),
+        )
         fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
         try:
-            with os.fdopen(fd, "w") as handle:
-                # dumps, not dump: only the one-shot encoder is the C one,
-                # and the farm's parent writes one entry per result.
-                handle.write(json.dumps(payload))
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(entry)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -353,49 +386,74 @@ class ResultCache:
 
     # -- maintenance -------------------------------------------------------------
 
-    def _entry_paths(self) -> list[Path]:
-        if not self._version_dir.is_dir():
+    def _schema_dirs(self) -> list[Path]:
+        """Every ``v<n>/`` directory under the root, this schema's included."""
+        if not self.root.is_dir():
             return []
-        return [
-            p
-            for p in self._version_dir.glob("*/*.json")
-            if not p.name.startswith(".tmp-")
-        ]
+        return sorted(
+            p for p in self.root.iterdir() if _SCHEMA_DIR.fullmatch(p.name) and p.is_dir()
+        )
+
+    @staticmethod
+    def _entry_paths(schema_dir: Path) -> list[Path]:
+        return [p for p in schema_dir.glob("*/*.json") if not p.name.startswith(".tmp-")]
 
     def stats(self) -> CacheStats:
-        """Entry count and on-disk footprint of the current schema."""
-        paths = self._entry_paths()
+        """Entry count and on-disk footprint, this schema's and the others'."""
+        entries = total_bytes = other_entries = other_bytes = 0
+        for schema_dir in self._schema_dirs():
+            paths = self._entry_paths(schema_dir)
+            size = sum(p.stat().st_size for p in paths)
+            if schema_dir.name == f"v{CACHE_SCHEMA}":
+                entries, total_bytes = len(paths), size
+            else:
+                other_entries += len(paths)
+                other_bytes += size
         return CacheStats(
             root=self.root,
             schema=CACHE_SCHEMA,
-            entries=len(paths),
-            total_bytes=sum(p.stat().st_size for p in paths),
+            entries=entries,
+            total_bytes=total_bytes,
             hits=self.hits,
             misses=self.misses,
+            other_entries=other_entries,
+            other_bytes=other_bytes,
         )
 
     def clear(self) -> int:
-        """Delete every entry of the current schema; returns the count.
+        """Delete every entry, of this schema and of any other; returns the count.
 
         Also sweeps up ``.tmp-*`` orphans a killed writer may have left
         (they are invisible to :meth:`stats` but would otherwise
-        accumulate forever).
+        accumulate forever), then the emptied shard and schema
+        directories.  Nothing else under the root is touched.
         """
-        paths = self._entry_paths()
         self._memo.clear()
-        for path in paths:
-            path.unlink(missing_ok=True)
-        # Tidy orphaned temp files and now-empty shard directories
-        # (best-effort).
-        if self._version_dir.is_dir():
-            for orphan in self._version_dir.glob("*/.tmp-*.json"):
+        removed = 0
+        for schema_dir in self._schema_dirs():
+            paths = self._entry_paths(schema_dir)
+            for path in paths:
+                path.unlink(missing_ok=True)
+            removed += len(paths)
+            # Tidy orphaned temp files and now-empty directories
+            # (best-effort: a directory holding anything else stays).
+            for orphan in schema_dir.glob("*/.tmp-*.json"):
                 try:
                     orphan.unlink()
                 except OSError:
                     pass
-            for shard in self._version_dir.iterdir():
+            for shard in schema_dir.iterdir():
                 try:
                     shard.rmdir()
                 except OSError:
                     pass
-        return len(paths)
+            try:
+                schema_dir.rmdir()
+            except OSError:
+                pass
+        return removed
+
+
+def _header(key: str) -> bytes:
+    """An entry's first line, newline included: its schema and its key."""
+    return b'{"schema":%d,"key":"%s"}\n' % (CACHE_SCHEMA, key.encode("ascii"))

@@ -33,11 +33,10 @@ One value, four consumers:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .._spec_util import fmt_num
+from .._spec_util import canonical_json, fmt_num
 from ..oracle.config import SimConfig
 from .arrivals import Arrivals
 
@@ -195,9 +194,9 @@ class Scenario:
     # -- canonical form and hashing ----------------------------------------------
 
     def _canonical_parts(self) -> tuple[str, str, str, Arrivals]:
-        """The canonical form's parts, shared by :meth:`canonical` and
-        :meth:`canonical_dict`: the three canonical spec strings and the
-        canonical arrival block.
+        """The canonical form's parts, shared by :meth:`canonical`,
+        :meth:`canonical_dict` and :meth:`canonical_json`: the three
+        canonical spec strings and the canonical arrival block.
 
         Raises :class:`ValueError` for an unknown name, a malformed
         spec, or a ``start_pe`` / ``Arrivals.pes`` outside the topology.
@@ -251,7 +250,8 @@ class Scenario:
         )
 
     def canonical_dict(self) -> dict[str, Any]:
-        """Canonical JSON-able form — the preimage of :meth:`content_hash`.
+        """Canonical JSON-able form — the preimage of :meth:`content_hash`,
+        which digests it as :meth:`canonical_json` spells it.
 
         Assembled from the parts :meth:`canonical` uses, plus the
         config's memoized serialization (:meth:`SimConfig.serialized`)
@@ -260,10 +260,9 @@ class Scenario:
         scenario's spellings, building it constructs no
         :class:`Scenario` and no :class:`SimConfig`.
 
-        The result is memoized on the instance — the cache consults it
-        several times per run, and the fields it derives from are
-        frozen — and shares its ``config`` entry with the config's
-        memo, so treat it as read only.
+        The result is memoized on the instance — the fields it derives
+        from are frozen — and shares its ``config`` entry with the
+        config's memo, so treat it as read only.
 
         The layout is byte-compatible with the farm's pre-Scenario
         canonical form: default arrivals are omitted entirely, so every
@@ -289,27 +288,50 @@ class Scenario:
             object.__setattr__(self, "_canonical_dict", cached)
         return cached
 
+    def canonical_json(self) -> str:
+        """The text :meth:`content_hash` digests: :meth:`canonical_dict`
+        as compact JSON with sorted keys.
+
+        Byte for byte ``json.dumps(self.canonical_dict(), sort_keys=True,
+        separators=(",", ":"))``, and it raises where that raises, but
+        spliced from the same parts (:meth:`_canonical_parts`) and the
+        config's memoized text (:meth:`SimConfig.serialized_json`, the
+        seed override spliced in), so it builds no dict.  Besides
+        :meth:`canonical_dict` this is the one place that knows the
+        hashed fields; it writes them in sorted order, as ``json.dumps``
+        does, and omits default arrivals as the dict does.
+        """
+        workload, topology, strategy, arrivals = self._canonical_parts()
+        head = "{"
+        if not arrivals.is_default:
+            head = f'{{"arrivals":{canonical_json(arrivals.to_dict())},'
+        return (
+            f'{head}"config":{self.config.serialized_json(self.seed)}'
+            f',"schema":{canonical_json(SPEC_SCHEMA)}'
+            f',"start_pe":{canonical_json(self.start_pe)}'
+            f',"strategy":{canonical_json(strategy)}'
+            f',"topology":{canonical_json(topology)}'
+            f',"workload":{canonical_json(workload)}}}'
+        )
+
     def content_hash(self) -> str:
         """Content-address: SHA-256 of the canonical form (memoized).
 
-        The digest of :meth:`canonical_dict` as compact JSON with sorted
-        keys.  Stable across processes and sessions (no hash
-        randomization is involved), and identical for every spelling of
-        the same run — this is the key the farm's
+        The digest of :meth:`canonical_json`, the compact sorted-key
+        JSON of :meth:`canonical_dict`.  Stable across processes and
+        sessions (no hash randomization is involved), and identical for
+        every spelling of the same run — this is the key the farm's
         :class:`~repro.parallel.cache.ResultCache` stores results under.
         Once the registries' memos hold a fresh scenario's spellings,
         its hash constructs no topology, strategy, workload,
-        :class:`Scenario` or :class:`SimConfig`: it costs the memo
-        lookups, one ``json.dumps`` and one SHA-256.  It raises the same
+        :class:`Scenario`, :class:`SimConfig` or dict: it costs the memo
+        lookups, one string splice and one SHA-256.  It raises the same
         :class:`ValueError` as :meth:`canonical` for an unknown name, a
         malformed spec or a PE outside the topology.
         """
         cached = self.__dict__.get("_content_hash")
         if cached is None:
-            payload = json.dumps(
-                self.canonical_dict(), sort_keys=True, separators=(",", ":")
-            )
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            cached = hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
             object.__setattr__(self, "_content_hash", cached)
         return cached
 

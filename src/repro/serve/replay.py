@@ -102,13 +102,14 @@ async def _replay_policy(
     seed: int,
     speed: float,
 ) -> ReplayStats:
-    fleet = WorkerFleet(workers=workers)
+    # Replay measures dispatch quality, not admission control: the
+    # whole stream must be admitted, never 429'd, so neither the
+    # service's high water nor a worker's queue may turn a miss away.
+    fleet = WorkerFleet(workers=workers, queue_depth=max(64, len(requests)))
     service = ScenarioService(
         fleet,
         make_policy(policy_name, workers, seed=seed),
         cache=None if cache_root is None else ResultCache(cache_root),
-        # Replay measures dispatch quality, not admission control: the
-        # whole stream must be admitted, never 429'd.
         high_water=max(256, len(requests) + 1),
     )
     await service.start()

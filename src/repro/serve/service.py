@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..obs import telemetry as _telemetry
-from ..parallel.cache import ResultCache, result_from_dict, result_to_dict
+from ..parallel.cache import ResultCache, result_to_dict
 from ..parallel.pool import WorkerFleet, task_json
 from ..scenario import Scenario
 from .policy import ServePolicy
@@ -290,11 +290,12 @@ class ScenarioService:
         if ok:
             if self.cache is not None:
                 # put() is atomic; a concurrent serve process racing on
-                # the same key writes identical bytes.  A failed write
-                # (full disk, read-only cache) costs only a later warm
-                # hit: the answer stands, and the pump must live on.
+                # the same key writes identical bytes.  It takes the
+                # worker's result dict as sent, unrevived.  A failed
+                # write (full disk, read-only cache) costs only a later
+                # warm hit: the answer stands, and the pump must live on.
                 try:
-                    self.cache.put(entry.scenario, result_from_dict(payload))
+                    self.cache.put(entry.scenario, payload)
                 except OSError as exc:
                     if tele is not None:
                         tele.emit("serve.cache_error", key=entry.key[:12], error=str(exc))

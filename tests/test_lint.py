@@ -402,6 +402,25 @@ class TestCacheKeyDrift:
         findings = rules_hit(tmp_path, "cache-key-drift")
         assert any("folds the seed" in f.message for f in findings)
 
+    def test_field_missing_from_the_hashed_text(self, tmp_path):
+        # A text builder beside canonical_dict must write every field as
+        # a JSON key too (seed is spliced into the config's text).
+        body = (
+            "    def canonical(self):\n"
+            "        return replace(self, seed=None)\n"
+            "    def canonical_dict(self):\n"
+            "        return {'workload': 1, 'topology': 2, 'notes': 3}\n"
+            "    def canonical_json(self):\n"
+            "        return '{\"notes\":' + self.notes + ',\"topology\":' + self.topology + '}'\n"
+        )
+        write_tree(tmp_path, {"repro/scenario/scenario.py": _SCENARIO_HEADER + body})
+        findings = rules_hit(tmp_path, "cache-key-drift")
+        assert [f.message.split(" never")[0] for f in findings] == ["Scenario field 'workload'"]
+        assert "canonical_json()" in findings[0].message
+        whole = body.replace("self.topology", "self.topology + ',\"workload\":' + self.workload")
+        write_tree(tmp_path, {"repro/scenario/scenario.py": _SCENARIO_HEADER + whole})
+        assert rules_hit(tmp_path, "cache-key-drift") == []
+
     def test_simconfig_field_without_coercer(self, tmp_path):
         write_tree(tmp_path, {
             "repro/oracle/config.py": (

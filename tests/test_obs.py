@@ -331,6 +331,21 @@ class TestFarmSummarySatellites:
         assert main(["cache", "stats", "--dir", str(tmp_path / "c")]) == 0
         assert "entries      : 0" in capsys.readouterr().out
 
+    def test_cache_stats_and_clear_see_an_orphaned_schema(self, tmp_path, capsys):
+        root = tmp_path / "c"
+        stale = root / "v3" / "ab" / ("ab" + "0" * 62 + ".json")
+        stale.parent.mkdir(parents=True)
+        stale.write_text("{}")
+        assert main(["cache", "stats", "--dir", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "entries      : 0" in out and "other schemas: 1 entries" in out
+        assert main(["cache", "stats", "--json", "--dir", str(root)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["other_entries"], payload["other_bytes"]) == (1, 2)
+        assert main(["cache", "clear", "--dir", str(root)]) == 0
+        assert "removed 1 cached result(s)" in capsys.readouterr().out
+        assert root.is_dir() and list(root.iterdir()) == []
+
 
 # ---------------------------------------------------------------------------
 # the serve panel

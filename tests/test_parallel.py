@@ -197,20 +197,27 @@ class TestResultCache:
         # Each defect makes a corrupt entry: a miss that deletes it, and
         # the next put heals the address.
         from repro.obs import telemetry
+        from repro.parallel.cache import CACHE_SCHEMA
 
         spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        key = spec.content_hash()
         result = spec.run()
+        written = ResultCache(tmp_path / "whole").put(spec, result).read_text()
+        header, body, hashed = written.split("\n")
+        short = json.loads(body)
+        del short["completion_time"]
         defects = {
-            "schema": lambda payload: payload.update(schema=999),
-            "key": lambda payload: payload.update(key="0" * 64),
-            "result-field": lambda payload: payload["result"].pop("completion_time"),
+            "schema": [header.replace(f'"schema":{CACHE_SCHEMA},', '"schema":999,'), body, hashed],
+            "key": [header.replace(key, "0" * 64), body, hashed],
+            "result-field": [header, json.dumps(short), hashed],
+            "truncated-result": [header, body[: len(body) // 2]],
+            "header-only": [header, ""],
         }
-        for name, defect in defects.items():
+        for name, lines in defects.items():
             cache = ResultCache(tmp_path / name)
             path = cache.put(spec, result)
-            payload = json.loads(path.read_text())
-            defect(payload)
-            path.write_text(json.dumps(payload))
+            assert "\n".join(lines) != written, name
+            path.write_text("\n".join(lines))
             stream = tmp_path / f"{name}.jsonl"
             with telemetry.capture(stream):
                 assert cache.get(spec) is None, name
@@ -219,6 +226,69 @@ class TestResultCache:
             assert cache.misses == 1 and not path.exists(), name
             cache.put(spec, result)
             assert_results_equal(cache.get(spec), result)
+
+    def test_entry_is_header_result_and_hashed_text(self, tmp_path, capsys):
+        import hashlib
+
+        from repro.cli import main
+        from repro.parallel.cache import CACHE_SCHEMA, result_json
+
+        text = "fib:9 @ grid:5x5 / cwn?seed=1"
+        spec = Scenario.from_spec(text)
+        key = spec.content_hash()
+        result = spec.run()
+        path = ResultCache(tmp_path).put(spec, result)
+        header, body, hashed = path.read_bytes().split(b"\n")
+        assert header == b'{"schema":%d,"key":"%s"}' % (CACHE_SCHEMA, key.encode())
+        # The result line is `repro run --json`'s stdout for the same spec.
+        assert body.decode() == result_json(result)
+        assert main(["run", text, "--json", "--no-cache"]) == 0
+        assert capsys.readouterr().out == body.decode() + "\n"
+        assert hashed.decode() == spec.canonical_json()
+        assert hashlib.sha256(hashed).hexdigest() == key == path.stem
+        # A result's dict form (a fleet worker's payload) writes the same bytes.
+        as_dict = ResultCache(tmp_path / "dict").put(spec, result_to_dict(result))
+        assert as_dict.read_bytes() == path.read_bytes()
+
+    def test_hit_never_parses_the_hashed_text(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        result = spec.run()
+        path = cache.put(spec, result)
+        header, body, _ = path.read_text().split("\n")
+        path.write_text(f"{header}\n{body}\n{{ not json")
+        assert_results_equal(cache.get(spec), result)
+        assert (cache.hits, cache.misses) == (1, 0) and path.exists()
+
+    def test_stats_and_clear_see_other_schemas(self, tmp_path):
+        # An entry another schema wrote is never read, but stats counts
+        # it and clear removes it with its directories; nothing else
+        # under the root is touched.
+        from repro.parallel.cache import CACHE_SCHEMA
+
+        cache = ResultCache(tmp_path)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        cache.put(spec, spec.run())
+        key = spec.content_hash()
+        stale = tmp_path / "v3" / key[:2] / f"{key}.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text('{"schema":3}')
+        (stale.parent / ".tmp-orphan.json").write_text("")
+        keep = [tmp_path / "notes.txt", tmp_path / "v3x" / "ab" / "x.json"]
+        for path in keep:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("mine")
+        stats = cache.stats()
+        assert (stats.entries, stats.other_entries, stats.other_bytes) == (1, 1, 12)
+        assert "other schemas: 1 entries" in str(stats)
+        assert cache.get(spec) is not None
+        assert cache.clear() == 2
+        assert not (tmp_path / "v3").exists()
+        assert not (tmp_path / f"v{CACHE_SCHEMA}").exists()
+        assert all(path.read_text() == "mine" for path in keep)
+        stats = cache.stats()
+        assert (stats.entries, stats.other_entries) == (0, 0)
+        assert "other schemas" not in str(stats)
 
     def test_str_and_relative_roots_address_the_same_entries(self, tmp_path, monkeypatch):
         from pathlib import Path

@@ -113,6 +113,11 @@ def registry_key_specs() -> set[str]:
     return specs
 
 
+def _dumped(sc: Scenario) -> str:
+    """What the hashed text must equal: the canonical dict through json.dumps."""
+    return json.dumps(sc.canonical_dict(), sort_keys=True, separators=(",", ":"))
+
+
 @pytest.fixture
 def cold_memos(monkeypatch):
     """Every registry's canonical memo emptied for one test (restored after)."""
@@ -214,6 +219,63 @@ class TestHashStability:
         assert len({sc.content_hash() for sc in threes}) == 1
         assert Scenario.from_spec(f"{base}?seed=4").content_hash() != threes[0].content_hash()
 
+    def test_hashed_text_is_the_dumped_canonical_dict(self):
+        # content_hash digests text spliced from the canonical parts, not
+        # json.dumps of the dict; the two must agree byte for byte.
+        base = "fib:9 @ grid:4x4 / cwn"
+        scenarios = [Scenario(**kwargs) for kwargs, _ in GOLDEN_KEYS]
+        for spec in sorted(REGISTRY_KEYS):
+            scenarios += [Scenario.from_spec(spec), Scenario.from_spec(Scenario.from_spec(spec).spec)]
+        scenarios += [
+            Scenario.from_spec(f"{base}?seed=3"),
+            Scenario.from_spec(f"{base}?cfg.seed=3"),
+            Scenario("fib:9", "grid:4x4", "cwn", seed=3),
+            Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(seed=3)),
+            Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(seed=4), seed=3),
+            Scenario("fib:9", "grid:4x4", "cwn", arrivals=Arrivals(3, 25.0, pes=(0, 5, 9))),
+            Scenario.from_spec(f"{base}?queries=2&times=0;12.5&start=3"),
+            Scenario.from_spec(
+                f"{base}?seed=2&cfg.load_info=channel&cfg.max_events=none"
+                f"&cfg.trace_hops=false&cost.word_time=2.5&cost.leaf_work=0.1"
+            ),
+        ]
+        for sc in scenarios:
+            text = sc.canonical_json()
+            assert text == _dumped(sc), sc
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sc.content_hash()
+
+    def test_bool_and_numpy_seeds_behave_as_json_dumps(self):
+        # A str() splice would write True where json writes true, and
+        # 3 where json refuses a numpy integer.
+        def seeded(seed):
+            return [
+                Scenario("fib:9", "grid:4x4", "cwn", seed=seed),
+                Scenario("fib:9", "grid:4x4", "cwn", config=SimConfig(seed=seed)),
+            ]
+
+        for seed, spelled in ((True, '"seed":true'), (False, '"seed":false')):
+            for sc in seeded(seed):
+                assert sc.canonical_json() == _dumped(sc)
+                assert spelled in sc.canonical_json()
+        for odd in (np.int64(3), np.int32(3)):
+            for sc in seeded(odd) + [Scenario("fib:9", "grid:4x4", "cwn", start_pe=odd)]:
+                with pytest.raises(TypeError, match="not JSON serializable"):
+                    _dumped(sc)
+                with pytest.raises(TypeError, match="not JSON serializable"):
+                    sc.canonical_json()
+
+    def test_text_memos_are_private_state(self):
+        config = SimConfig(seed=3, load_info="channel")
+        sc = Scenario("fib:9", "grid:4x4", "cwn", config=config)
+        sc.content_hash()
+        assert "_serialized_json" in config.__dict__
+        twin = SimConfig(seed=3, load_info="channel")
+        assert config == twin and hash(config) == hash(twin)
+        assert "_serialized_json" not in config.replace(seed=4).__dict__
+        assert config.to_dict() is not config.to_dict()
+        assert config.to_dict() == config.serialized()
+        assert sc == Scenario("fib:9", "grid:4x4", "cwn", config=twin)
+
     def test_golden_registry_keys_cover_every_kind(self):
         assert set(REGISTRY_KEYS) == registry_key_specs()
 
@@ -235,6 +297,26 @@ class TestHashStability:
         again = run_batch([respelled], cache=cache)
         assert (again.hits, again.simulated) == (1, 0)
         assert_results_equal(first.results[0], again.results[0])
+
+
+class TestOneKeyOneResult:
+    """Every spelling of one key runs to the same bytes."""
+
+    @pytest.mark.parametrize("topology", ["grid:4x4", "dlm:5x5x5", "hypercube:4", "ring:8"])
+    def test_bare_canonical_and_constructed_strategies_agree(self, topology):
+        # A bare name takes paper Table 1's parameters, a canonical
+        # spelling parses them as floats, and a constructor takes what
+        # it is given: all three share a key, so they must share a result.
+        from repro.parallel import result_json
+
+        family = make_topology(topology).family
+        for name in STRATEGIES.names():
+            canonical = canonical_strategy(name, family=family)
+            built = make_strategy(canonical, family=family)
+            constructed = type(built)(**built.describe_params())
+            runs = [Scenario("fib:8", topology, s, seed=1) for s in (name, canonical, constructed)]
+            assert len({sc.content_hash() for sc in runs}) == 1, (name, topology)
+            assert len({result_json(sc.run()) for sc in runs}) == 1, (name, topology)
 
 
 class TestGoldenEquivalence:

@@ -19,6 +19,7 @@ import asyncio
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -308,6 +309,24 @@ class TestService:
         assert first.result == second.result == third.result
         assert dispatched == 1
         assert other_stats.dispatched == 0, "warm hit must not touch the fleet"
+
+    def test_served_miss_writes_the_entry_a_direct_put_writes(self, tmp_path):
+        # The worker's result dict goes to put() as sent, unrevived: the
+        # entry is byte for byte the one put() writes for a direct run.
+        async def go():
+            service = _service(tmp_path / "served")
+            await service.start()
+            try:
+                return await service.submit(SPEC)
+            finally:
+                await service.stop()
+
+        answer = asyncio.run(go())
+        assert answer.source == "computed"
+        scenario = Scenario.from_spec(SPEC).seeded()
+        served = ResultCache(tmp_path / "served").path_for(scenario)
+        direct = ResultCache(tmp_path / "direct").put(scenario, scenario.run())
+        assert served.read_bytes() == direct.read_bytes()
 
     def test_failed_cache_write_still_answers(self, tmp_path, wall_clock_guard):
         # A cache write that fails (here: a full disk) must not end the
@@ -824,6 +843,15 @@ class TestReplay:
     def test_replay_rejects_empty(self):
         with pytest.raises(ValueError):
             run_replay([], policies=("central",))
+
+    def test_replay_admits_a_stream_longer_than_a_worker_queue(self):
+        # 150 distinct misses at once on one worker: more than the
+        # fleet's default queue depth (64), all computed, none turned away.
+        start = time.perf_counter()
+        stream = [ReplayRequest(f"fib:5 @ grid:2x2 / cwn?seed={i}") for i in range(150)]
+        (stats,) = run_replay(stream, policies=("central",), workers=1)
+        assert (stats.errors, stats.computed) == (0, 150)
+        assert time.perf_counter() - start < 2.0
 
 
 # -- the CLI surface -------------------------------------------------------------
