@@ -68,9 +68,11 @@ class Strategy:
       the run;
     * ``reads_beliefs`` — some hook reads neighbor-load beliefs
       (``known_load`` / ``known_loads_of``).  Where it is False the
-      machine keeps none: load words still travel, with the same events
-      and control-word counts, but update nothing, and a belief read
-      raises :class:`~repro.oracle.engine.SimulationError`.
+      machine keeps none: load words still travel, with the same event
+      keys, ``events_executed`` and control-word counts, but update
+      nothing, so the engine counts them instead of calendaring them
+      (:meth:`~repro.oracle.engine.Engine.noop`); a belief read raises
+      :class:`~repro.oracle.engine.SimulationError`.
     """
 
     #: short name used in result tables ("cwn", "gm", ...)

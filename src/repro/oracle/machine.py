@@ -243,13 +243,18 @@ class Machine:
         self._on_goal_message = self.strategy.on_goal_message
         self._deliver_goal = self._goal_arrived
         self._deliver_response = self._response_arrived
-        if self.strategy.reads_beliefs:
-            self._deliver_load_word = self._apply_load_word
-        else:
-            # No hook reads beliefs: a load word keeps its event, its key
-            # and its control-word count, and its action is a no-op in C.
+        #: are load words counted, not calendared? (see Engine.noop)
+        self._count_words = not self.strategy.reads_beliefs
+        if self._count_words:
+            # No hook reads beliefs: a load word keeps its key, its place
+            # in events_executed and its control-word count, but runs
+            # nothing, so the engine counts it instead of calendaring it.
+            # The sharded machine, which still calendars its words,
+            # delivers them to len.
             self._deliver_load_word = len
             self.known_load = self.known_loads_of = self._no_beliefs  # type: ignore[method-assign]
+        else:
+            self._deliver_load_word = self._apply_load_word
         #: infinite default column for known_loads_of's map over a row
         self._unknown = repeat(0.0)
 
@@ -297,21 +302,42 @@ class Machine:
         last_posted = self._last_posted
         stats = self.stats
         engine = self.engine
-        heap = engine._heap
-        seqs = engine._site_seq
         delay = self._word_delay
-        deliver = self._deliver_load_word
+        seqs = engine._site_seq
+        if self._count_words and delay > 0:
+            # Inlined Engine.noop: the word's key goes on the ledger.  The
+            # commonest post of a belief-free run costs no heap entry.
+            ledger = engine._ledger
+            record = ledger.extend
 
-        def load_changed(pe: int) -> None:
-            value = float(len(queues[pe]))
-            if value == last_posted[pe]:
-                return
-            last_posted[pe] = value
-            stats.control_words_sent += 1
-            site = 1 + pe
-            k = seqs[site] + 1
-            seqs[site] = k
-            heappush(heap, [engine.now + delay, 10, site, k, deliver, (pe, value)])
+            def load_changed(pe: int) -> None:
+                value = float(len(queues[pe]))
+                if value == last_posted[pe]:
+                    return
+                last_posted[pe] = value
+                stats.control_words_sent += 1
+                site = 1 + pe
+                record((engine.now + delay, 10, site, seqs[site]))
+                if len(ledger) >= engine._fold_at:
+                    engine._fold()
+
+        else:
+            # A word that updates beliefs is calendared to run; so is a
+            # counted word with zero delay (as in Engine.noop), since it
+            # could sort before the event posting it.
+            heap = engine._heap
+            deliver = self._deliver_load_word
+
+            def load_changed(pe: int) -> None:
+                value = float(len(queues[pe]))
+                if value == last_posted[pe]:
+                    return
+                last_posted[pe] = value
+                stats.control_words_sent += 1
+                site = 1 + pe
+                k = seqs[site] + 1
+                seqs[site] = k
+                heappush(heap, [engine.now + delay, 10, site, k, deliver, (pe, value)])
 
         self.load_changed = load_changed  # type: ignore[method-assign]
 
@@ -596,10 +622,13 @@ class Machine:
         self._last_posted[pe] = value
         if self._post_on_change:
             self.stats.control_words_sent += 1
-            # Inlined Engine.after: one belief-update event per queue
-            # change is the second most common heap entry in a run.
             engine = self.engine
             site = 1 + pe
+            if self._count_words:
+                engine.noop(self._word_delay, 10, site)
+                return
+            # Inlined Engine.after: one belief-update event per queue
+            # change is the second most common heap entry in a run.
             seqs = engine._site_seq
             k = seqs[site] + 1
             seqs[site] = k
@@ -624,7 +653,10 @@ class Machine:
             if value != self._last_posted[pe]:
                 self._last_posted[pe] = value
                 self.stats.control_words_sent += 1
-                engine.after(delay, self._deliver_load_word, (pe, value), site=1 + pe)
+                if self._count_words:
+                    engine.noop(delay, 10, 1 + pe)
+                else:
+                    engine.after(delay, self._deliver_load_word, (pe, value), site=1 + pe)
 
     # ------------------------------------------------------------------
     # Word transport (strategy control data)

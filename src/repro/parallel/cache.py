@@ -39,7 +39,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -148,6 +148,17 @@ def result_json(result: SimResult) -> str:
     a direct in-process run of the same scenario.
     """
     return canonical_json(result_to_dict(result))
+
+
+#: the keys of :func:`result_to_dict`'s form: one per SimResult field
+_RESULT_FIELDS = frozenset(field.name for field in fields(SimResult))
+
+
+def _whole(data: dict[str, Any]) -> dict[str, Any]:
+    """``data`` itself, if it holds every field of a result."""
+    if not _RESULT_FIELDS <= data.keys():
+        raise KeyError(f"result lacks {sorted(_RESULT_FIELDS - data.keys())}")
+    return data
 
 
 def result_from_dict(data: dict[str, Any]) -> SimResult:
@@ -264,7 +275,9 @@ class ResultCache:
 
     # -- lookup ------------------------------------------------------------------
 
-    def get(self, scenario: Scenario) -> SimResult | None:
+    def get(
+        self, scenario: Scenario, *, revive: bool = True
+    ) -> SimResult | dict[str, Any] | None:
         """The stored result, or ``None`` on miss.
 
         A hit costs one key (:meth:`Scenario.content_hash`), one string
@@ -272,7 +285,10 @@ class ResultCache:
         header, one ``json.loads`` of its result line and one
         :func:`result_from_dict`; the hashed text after the result is
         never parsed.  The in-process memo skips the read and the parse
-        for an entry this instance has read before.
+        for an entry this instance has read before.  ``revive=False``
+        skips the revival too: the hit is the parsed result line itself,
+        in :func:`result_to_dict`'s form, the answer a service sends.
+        That dict is the memo's own, to read and never to change.
 
         Any defect in the stored entry — a header of another schema or
         key, a result line that is missing, truncated or unparsable, a
@@ -294,7 +310,7 @@ class ResultCache:
             self.hits += 1
             if tele is not None:
                 tele.emit("cache.hit", key=key[:12], memo=True)
-            return result_from_dict(data)
+            return result_from_dict(data) if revive else data
         path = self._address(key)
         header = _header(key)
         try:
@@ -304,7 +320,7 @@ class ResultCache:
                 raise ValueError("header does not match this schema and key")
             # index() raises where no newline ends the result line: a cut entry.
             data = json.loads(raw[len(header):raw.index(b"\n", len(header))])
-            result = result_from_dict(data)
+            result = result_from_dict(data) if revive else _whole(data)
         except OSError as exc:
             self.misses += 1
             if tele is not None:

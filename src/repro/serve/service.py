@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..obs import telemetry as _telemetry
-from ..parallel.cache import ResultCache, result_to_dict
+from ..parallel.cache import ResultCache
 from ..parallel.pool import WorkerFleet, task_json
 from ..scenario import Scenario
 from .policy import ServePolicy
@@ -198,14 +198,14 @@ class ScenarioService:
             )
 
         if self.cache is not None:
-            cached = self.cache.get(scenario)
+            # The stored result dict is the answer: reviving it as a
+            # SimResult only to turn it back into a dict spends ~20 µs.
+            cached = self.cache.get(scenario, revive=False)
             if cached is not None:
                 self.stats.cache_hits += 1
                 if tele is not None:
                     tele.emit("serve.request", key=key[:12], source="cache")
-                return Submitted(
-                    spec_text, key, "cache", result_to_dict(cached), _ms_since(start)
-                )
+                return Submitted(spec_text, key, "cache", cached, _ms_since(start))
 
         if not self._accepting:
             self.stats.rejected += 1

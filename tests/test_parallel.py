@@ -139,6 +139,22 @@ class TestResultCache:
         alias = Scenario("fib:9", "grid:5x5", "cwn:radius=9,horizon=2", seed=1)
         assert cache.get(alias) is not None
 
+    def test_unrevived_hit_is_the_stored_result_dict(self, tmp_path):
+        from repro.parallel.cache import result_to_dict
+
+        cache = ResultCache(tmp_path)
+        spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
+        result = spec.run()
+        cache.put(spec, result)
+        fresh = ResultCache(tmp_path)
+        from_disk = fresh.get(spec, revive=False)
+        assert json.dumps(from_disk, sort_keys=True) == json.dumps(
+            result_to_dict(result), sort_keys=True
+        )
+        assert fresh.get(spec, revive=False) is from_disk  # the memo's own dict
+        assert_results_equal(fresh.get(spec), result)
+        assert fresh.hits == 3
+
     def test_corrupt_entry_recovers_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = Scenario("fib:9", "grid:5x5", "cwn", seed=1)
@@ -217,13 +233,15 @@ class TestResultCache:
             cache = ResultCache(tmp_path / name)
             path = cache.put(spec, result)
             assert "\n".join(lines) != written, name
-            path.write_text("\n".join(lines))
-            stream = tmp_path / f"{name}.jsonl"
-            with telemetry.capture(stream):
-                assert cache.get(spec) is None, name
-            misses = [e for e in telemetry.read_events(stream) if e["ev"] == "cache.miss"]
-            assert [e.get("corrupt") for e in misses] == [True], name
-            assert cache.misses == 1 and not path.exists(), name
+            for revive in (True, False):
+                path.write_text("\n".join(lines))
+                stream = tmp_path / f"{name}-{revive}.jsonl"
+                with telemetry.capture(stream):
+                    assert cache.get(spec, revive=revive) is None, name
+                misses = [e for e in telemetry.read_events(stream) if e["ev"] == "cache.miss"]
+                assert [e.get("corrupt") for e in misses] == [True], name
+                assert not path.exists(), name
+            assert cache.misses == 2, name
             cache.put(spec, result)
             assert_results_equal(cache.get(spec), result)
 

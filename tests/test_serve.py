@@ -310,6 +310,36 @@ class TestService:
         assert dispatched == 1
         assert other_stats.dispatched == 0, "warm hit must not touch the fleet"
 
+    def test_warm_hit_answers_the_stored_result_unrevived(self, tmp_path, monkeypatch):
+        # The entry's parsed result line is the answer: a hit from a fresh
+        # service on a warm root, from disk and then from the memo, is
+        # result_json of a direct run, and no SimResult is revived.
+        import repro.parallel.cache as cache_module
+        from repro._spec_util import canonical_json
+
+        scenario = Scenario.from_spec(SPEC).seeded()
+        direct = scenario.run()
+        ResultCache(tmp_path).put(scenario, direct)
+
+        def revive(data):
+            raise AssertionError("a served hit revived its result")
+
+        monkeypatch.setattr(cache_module, "result_from_dict", revive)
+
+        async def go():
+            service = _service(tmp_path)
+            await service.start()
+            try:
+                return [await service.submit(SPEC) for _ in range(2)], service.stats
+            finally:
+                await service.stop()
+
+        answers, stats = asyncio.run(go())
+        assert [a.source for a in answers] == ["cache", "cache"]
+        assert stats.dispatched == 0 and stats.cache_hits == 2
+        for answer in answers:
+            assert canonical_json(answer.result) == result_json(direct)
+
     def test_served_miss_writes_the_entry_a_direct_put_writes(self, tmp_path):
         # The worker's result dict goes to put() as sent, unrevived: the
         # entry is byte for byte the one put() writes for a direct run.
